@@ -4,7 +4,6 @@ parametric families and an independent hinge-grid oracle."""
 
 from .functionals import (
     Atom,
-    Constant,
     DomainError,
     Functional,
     FunctionalError,
@@ -13,7 +12,6 @@ from .functionals import (
     MIDPOINT,
     MassError,
     NegativeWeightError,
-    PLFunction,
     PRESETS,
     SIMPSON,
     Square,
@@ -22,15 +20,11 @@ from .functionals import (
     UnsupportedTestFunction,
     as_fraction,
     barycenter,
-    cdf,
     evaluate,
-    format_rational,
     from_paper_convention,
     functional_from_json,
     functional_to_json,
     make_functional,
-    mix,
-    parse_rational,
 )
 from .oracle import OracleReport, oracle_decide, refine_grid
 from .ordering import (

@@ -35,7 +35,6 @@ from .functionals import (
     UNIFORM,
     ZERO,
     as_fraction,
-    format_rational,
     functional_from_json,
     make_functional,
 )
@@ -441,28 +440,17 @@ def _load_json_or_file(text: str) -> object:
 
 
 def _instantiate_template(obj: object, env: dict[str, Fraction]) -> Functional:
-    if not isinstance(obj, dict):
-        raise CLIError("functional template must be a JSON object")
-    resolved: dict = {"uniform": format_rational(eval_rational_expr(obj.get("uniform", "0"), env))}
-    if "atoms" in obj:
-        resolved["atoms"] = [
-            {
-                "t": format_rational(eval_rational_expr(entry["t"], env)),
-                "w": format_rational(eval_rational_expr(entry["w"], env)),
-            }
-            for entry in obj["atoms"]
-        ]
-    elif "pairs" in obj:
-        resolved["pairs"] = [
-            {
-                "alpha": format_rational(eval_rational_expr(entry["alpha"], env)),
-                "a": format_rational(eval_rational_expr(entry["a"], env)),
-            }
-            for entry in obj["pairs"]
-        ]
-    else:
-        raise CLIError("functional template needs an 'atoms' or 'pairs' key")
-    return functional_from_json(resolved)
+    """Evaluate every scalar of the template as an expression in env;
+    functional_from_json then checks the shape."""
+
+    def resolve(node: object) -> object:
+        if isinstance(node, dict):
+            return {key: resolve(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [resolve(value) for value in node]
+        return str(eval_rational_expr(node, env))
+
+    return functional_from_json(resolve(obj))
 
 
 def _make_custom_family(lhs_text: str, rhs_text: str) -> Family:
@@ -538,6 +526,8 @@ def run_threshold(
     takes that rational, and confirms it against fresh probes on both
     sides.
     """
+    if max_denominator < 1:
+        raise CLIError(f"--max-denominator must be at least 1, got {max_denominator}")
     family = spec.family
     grid = spec.grid()
     flags = [_holds_at(family, spec.params_at(v)) for v in grid]
@@ -551,11 +541,11 @@ def run_threshold(
     result = {
         "family": family.name,
         "sweep": spec.sweep,
-        "fixed": {k: format_rational(v) for k, v in sorted(spec.fixed.items())},
+        "fixed": {k: str(v) for k, v in sorted(spec.fixed.items())},
         "grid": {
-            "start": format_rational(spec.start),
-            "stop": format_rational(spec.stop),
-            "step": format_rational(spec.step),
+            "start": str(spec.start),
+            "stop": str(spec.stop),
+            "step": str(spec.step),
         },
     }
 
@@ -594,7 +584,7 @@ def run_threshold(
             )
         return {
             "direction": direction,
-            "threshold": format_rational(candidate),
+            "threshold": str(candidate),
             "attained": attained,
             "exact": exact,
             "basis": "refined",
@@ -627,7 +617,7 @@ def run_threshold(
     if closed and holds(bound):
         result.update(
             direction=direction,
-            threshold=format_rational(bound),
+            threshold=str(bound),
             attained=True,
             exact=True,
             basis="range-cap",
@@ -643,7 +633,7 @@ def run_threshold(
         # bound: the holds-region runs up to the (open) range bound.
         result.update(
             direction=direction,
-            threshold=format_rational(bound),
+            threshold=str(bound),
             attained=False,
             exact=True,
             basis="range-cap",
@@ -674,8 +664,8 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
         check = _case_label(family, params) if family.param_order else None
         witness_s = ""
         if verdict.outcome == FAILS and hasattr(verdict.witness, "s"):
-            witness_s = format_rational(verdict.witness.s)
-        row = [format_rational(params[c]) for c in columns]
+            witness_s = str(verdict.witness.s)
+        row = [str(params[c]) for c in columns]
         row += [
             "true" if verdict.holds else "false",
             check.case or "" if check else "",
@@ -861,23 +851,24 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
 # ---------------------------------------------------------------------------
 
 
-def _rescale_positions(obj: dict, interval: tuple[Fraction, Fraction]) -> dict:
+def _rescale_positions(obj: object, interval: tuple[Fraction, Fraction]) -> object:
     """Map atom positions from [x, y] to the canonical [0, 1].
 
     Paper-convention pairs carry coefficients, not positions, and are
-    interval-free already.
+    interval-free already.  Entries without a position are passed on
+    unchanged for functional_from_json to reject.
     """
     x, y = interval
-    if "atoms" not in obj:
+    atoms = obj.get("atoms") if isinstance(obj, dict) else None
+    if not isinstance(atoms, list):
         return obj
     width = y - x
     rescaled = dict(obj)
     rescaled["atoms"] = [
-        {
-            "t": format_rational((as_fraction(entry["t"]) - x) / width),
-            "w": entry["w"],
-        }
-        for entry in obj["atoms"]
+        dict(entry, t=str((as_fraction(entry["t"]) - x) / width))
+        if isinstance(entry, dict) and "t" in entry
+        else entry
+        for entry in atoms
     ]
     return rescaled
 
@@ -890,16 +881,11 @@ def _load_functional(
     if text in PRESETS:
         return PRESETS[text]
     obj = _load_json_or_file(text)
-    if not isinstance(obj, dict):
-        raise CLIError(f"functional JSON must be an object, got {obj!r}")
-    if paper_convention and "pairs" not in obj:
+    if paper_convention and not (isinstance(obj, dict) and "pairs" in obj):
         raise CLIError("--paper-convention expects {'pairs': [...]} input")
     if interval is not None:
         obj = _rescale_positions(obj, interval)
-    try:
-        return functional_from_json(obj)
-    except KeyError as exc:
-        raise CLIError(f"functional JSON missing key {exc}") from None
+    return functional_from_json(obj)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

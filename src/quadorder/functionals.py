@@ -14,7 +14,6 @@ downstream hinge on sharp equalities, and a float that "looks like"
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -27,22 +26,16 @@ __all__ = [
     "UnsupportedTestFunction",
     "Rational",
     "as_fraction",
-    "parse_rational",
-    "format_rational",
     "Hinge",
     "Square",
     "Linear",
-    "Constant",
     "TestFunction",
     "Atom",
     "Functional",
-    "PLFunction",
     "make_functional",
     "from_paper_convention",
-    "cdf",
     "barycenter",
     "evaluate",
-    "mix",
     "functional_to_json",
     "functional_from_json",
     "UNIFORM",
@@ -101,14 +94,6 @@ def as_fraction(value: Rational) -> Fraction:
     )
 
 
-# JSON codec: rationals travel as "p/q" strings (or bare integers on input).
-parse_rational = as_fraction
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 # ---------------------------------------------------------------------------
 # Built-in test functions.  Hinges h_s(t) = max(t - s, 0) are the extreme
 # convex directions: together with +/- linear maps they decide the convex
@@ -160,21 +145,8 @@ class Linear:
         return self.slope / 2 + self.intercept
 
 
-@dataclass(frozen=True)
-class Constant:
-    """f(t) = value; uniform mean value."""
-
-    value: Fraction = ONE
-
-    def __call__(self, t: Fraction) -> Fraction:
-        return self.value
-
-    def uniform_mean(self) -> Fraction:
-        return self.value
-
-
-TestFunction = Union[Hinge, Square, Linear, Constant]
-_TEST_FAMILY = (Hinge, Square, Linear, Constant)
+TestFunction = Union[Hinge, Square, Linear]
+_TEST_FAMILY = (Hinge, Square, Linear)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +176,6 @@ class Functional:
 
     def positions(self) -> tuple[Fraction, ...]:
         return tuple(a.position for a in self.atoms)
-
-    def mass(self) -> Fraction:
-        return sum((a.weight for a in self.atoms), start=ZERO) + self.uniform_weight
 
 
 def make_functional(
@@ -270,118 +239,10 @@ def evaluate(func: Functional, f: TestFunction) -> Fraction:
     """Apply the functional to a built-in test function, exactly."""
     if not isinstance(f, _TEST_FAMILY):
         raise UnsupportedTestFunction(
-            f"{f!r} is not in the built-in test family (hinge/square/linear/constant)"
+            f"{f!r} is not in the built-in test family (hinge/square/linear)"
         )
     total = sum((a.weight * f(a.position) for a in func.atoms), start=ZERO)
     return total + func.uniform_weight * f.uniform_mean()
-
-
-def mix(a: Functional, b: Functional, lam: Rational) -> Functional:
-    """Convex mixture lam*a + (1-lam)*b, again a valid functional."""
-    lam = as_fraction(lam)
-    if not ZERO <= lam <= ONE:
-        raise DomainError(f"mixture coefficient {lam} outside [0, 1]")
-    combined = [(atom.position, lam * atom.weight) for atom in a.atoms]
-    combined += [(atom.position, (ONE - lam) * atom.weight) for atom in b.atoms]
-    uniform = lam * a.uniform_weight + (ONE - lam) * b.uniform_weight
-    return make_functional(combined, uniform)
-
-
-# ---------------------------------------------------------------------------
-# Piecewise-linear functions (distribution functions and their differences)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PLFunction:
-    """Piecewise-affine function on [0, 1], right-continuous at breakpoints.
-
-    breakpoints: strictly increasing, starting at 0 and ending at 1.
-    values[i]:   the value at breakpoints[i] (i.e. the limit from the right).
-    slopes[i]:   the slope on the open segment (breakpoints[i], breakpoints[i+1]).
-
-    The left limit at breakpoints[i+1] may differ from values[i+1]
-    (a jump); jumps at interior points are how atom masses show up in
-    distribution functions.
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    slopes: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        bps = self.breakpoints
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
-            raise FunctionalError("breakpoints must run from 0 to 1")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise FunctionalError("breakpoints must be strictly increasing")
-        if len(self.values) != len(bps) or len(self.slopes) != len(bps) - 1:
-            raise FunctionalError("values/slopes lengths do not match breakpoints")
-
-    def _segment_index(self, t: Fraction) -> int:
-        # Index i with breakpoints[i] <= t < breakpoints[i+1] (t=1 maps to the
-        # last segment).
-        i = bisect.bisect_right(self.breakpoints, t) - 1
-        return min(i, len(self.slopes) - 1)
-
-    def value(self, t: Rational) -> Fraction:
-        """Exact value at t (right-continuous at breakpoints)."""
-        t = as_fraction(t)
-        if not ZERO <= t <= ONE:
-            raise DomainError(f"{t} outside [0, 1]")
-        i = bisect.bisect_right(self.breakpoints, t) - 1
-        if self.breakpoints[i] == t:
-            return self.values[i]
-        return self.values[i] + self.slopes[i] * (t - self.breakpoints[i])
-
-    def left_limit(self, t: Rational) -> Fraction:
-        """Limit from the left at t in (0, 1]."""
-        t = as_fraction(t)
-        if not ZERO < t <= ONE:
-            raise DomainError(f"left limit needs t in (0, 1], got {t}")
-        i = bisect.bisect_left(self.breakpoints, t) - 1
-        return self.values[i] + self.slopes[i] * (t - self.breakpoints[i])
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values) and all(m == 0 for m in self.slopes)
-
-    def is_nondecreasing(self) -> bool:
-        if any(m < 0 for m in self.slopes):
-            return False
-        if self.values[0] < 0:
-            return False
-        for i in range(1, len(self.breakpoints)):
-            if self.values[i] < self.left_limit(self.breakpoints[i]):
-                return False
-        return True
-
-    def __sub__(self, other: "PLFunction") -> "PLFunction":
-        """Pointwise difference on the merged breakpoint set."""
-        points = sorted(set(self.breakpoints) | set(other.breakpoints))
-        values = tuple(self.value(p) - other.value(p) for p in points)
-        slopes = []
-        for left in points[:-1]:
-            i = self._segment_index(left)
-            j = other._segment_index(left)
-            slopes.append(self.slopes[i] - other.slopes[j])
-        return PLFunction(tuple(points), values, tuple(slopes))
-
-
-def cdf(func: Functional) -> PLFunction:
-    """Right-continuous distribution function of the functional's measure.
-
-    Jump of atom.weight at each atom position, slope uniform_weight in
-    between, value 1 at t = 1.
-    """
-    points = sorted({ZERO, ONE, *(a.position for a in func.atoms)})
-    weight_at = {a.position: a.weight for a in func.atoms}
-    values = []
-    acc = ZERO
-    for p in points:
-        acc += weight_at.get(p, ZERO)
-        values.append(acc + func.uniform_weight * p)
-    slopes = tuple(func.uniform_weight for _ in points[:-1])
-    return PLFunction(tuple(points), tuple(values), slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +252,43 @@ def cdf(func: Functional) -> PLFunction:
 
 def functional_to_json(func: Functional) -> dict:
     return {
-        "atoms": [
-            {"t": format_rational(a.position), "w": format_rational(a.weight)}
-            for a in func.atoms
-        ],
-        "uniform": format_rational(func.uniform_weight),
+        "atoms": [{"t": str(a.position), "w": str(a.weight)} for a in func.atoms],
+        "uniform": str(func.uniform_weight),
     }
+
+
+def _json_entries(obj: dict, key: str, fields: tuple[str, str]) -> list[tuple]:
+    """The (fields[0], fields[1]) values of every entry of obj[key], which
+    must be a list of objects carrying both fields."""
+    entries = obj[key]
+    if not isinstance(entries, list):
+        raise FunctionalError(f"'{key}' must be a list, got {type(entries).__name__}")
+    out = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FunctionalError(f"each '{key}' entry must be an object, got {entry!r}")
+        for field in fields:
+            if field not in entry:
+                raise FunctionalError(f"'{key}' entry {entry!r} has no {field!r} key")
+        out.append((entry[fields[0]], entry[fields[1]]))
+    return out
 
 
 def functional_from_json(obj: object) -> Functional:
     """Parse {"atoms": [{"t","w"},...], "uniform"} or the paper-convention
-    form {"pairs": [{"alpha","a"},...], "uniform"}."""
+    form {"pairs": [{"alpha","a"},...], "uniform"}.
+
+    This is the one shape check for functional JSON: anything else raises
+    FunctionalError, never KeyError or TypeError."""
     if not isinstance(obj, dict):
         raise FunctionalError(f"functional JSON must be an object, got {type(obj).__name__}")
     uniform = obj.get("uniform", 0)
     if "atoms" in obj and "pairs" in obj:
         raise FunctionalError("functional JSON cannot carry both 'atoms' and 'pairs'")
     if "atoms" in obj:
-        atoms = [(entry["t"], entry["w"]) for entry in obj["atoms"]]
-        return make_functional(atoms, uniform)
+        return make_functional(_json_entries(obj, "atoms", ("t", "w")), uniform)
     if "pairs" in obj:
-        pairs = [(entry["a"], entry["alpha"]) for entry in obj["pairs"]]
-        return from_paper_convention(pairs, uniform)
+        return from_paper_convention(_json_entries(obj, "pairs", ("a", "alpha")), uniform)
     raise FunctionalError("functional JSON needs an 'atoms' or 'pairs' key")
 
 

@@ -18,7 +18,6 @@ from typing import Iterable, Optional
 
 from .functionals import (
     Functional,
-    Hinge,
     Linear,
     Square,
     ONE,
@@ -63,11 +62,6 @@ def _hinge_table(func: Functional) -> tuple[list[Fraction], list[Fraction], list
         mass[i] = mass[i + 1] + atom.weight
         moment[i] = moment[i + 1] + atom.weight * atom.position
     return positions, mass, moment
-
-
-def _hinge_gap(a: Functional, b: Functional, s: Fraction) -> Fraction:
-    h = Hinge(s)
-    return evaluate(a, h) - evaluate(b, h)
 
 
 def oracle_decide(
@@ -117,19 +111,21 @@ def refine_grid(a: Functional, b: Functional) -> list[Fraction]:
     points = _merged_positions(a, b)
     grid = list(points)
     du = b.uniform_weight - a.uniform_weight
+    if du != 0:
+        pos_a, mass_a, _ = _hinge_table(a)
+        pos_b, mass_b, _ = _hinge_table(b)
     for left, right in zip(points[:-1], points[1:]):
         grid.append((left + right) / 2)
         if du != 0:
-            mass_gap = _mass_above(b, left) - _mass_above(a, left)
+            mass_gap = (
+                mass_b[bisect.bisect_right(pos_b, left)]
+                - mass_a[bisect.bisect_right(pos_a, left)]
+            )
             vertex = ONE + mass_gap / du
             if left <= vertex <= right:
                 grid.append(vertex)
     grid.sort()
     return [s for i, s in enumerate(grid) if i == 0 or s != grid[i - 1]]
-
-
-def _mass_above(func: Functional, s: Fraction) -> Fraction:
-    return sum((atom.weight for atom in func.atoms if atom.position > s), start=ZERO)
 
 
 def _merged_positions(a: Functional, b: Functional) -> list[Fraction]:

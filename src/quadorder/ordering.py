@@ -19,6 +19,7 @@ exactly the reported amount, or a linear map when the barycenters differ.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -27,11 +28,9 @@ from .functionals import (
     Functional,
     Hinge,
     Linear,
-    PLFunction,
     ZERO,
     ONE,
     evaluate,
-    format_rational,
 )
 
 __all__ = [
@@ -83,48 +82,47 @@ class DiffFunction:
     """The difference D of two distribution functions plus its exact
     antiderivative G.
 
-    On the segment (b_i, b_{i+1}) the difference is
-    D(t) = diff.values[i] + diff.slopes[i] * (t - b_i), and
+    Both distribution functions rise with slope equal to their uniform
+    weight, so D has one slope everywhere.  On the segment
+    [b_i, b_{i+1}) the difference is D(t) = values[i] + slope * (t - b_i),
+    and
 
-    G(s) = cumulative[i] + diff.values[i]*(s - b_i) + diff.slopes[i]*(s - b_i)^2/2.
+    G(s) = cumulative[i] + values[i]*(s - b_i) + slope*(s - b_i)^2/2.
 
-    G is continuous with G(0) = 0; cumulative[i] stores G at breakpoint i.
+    values[i] is the right limit at b_i; a jump at b_i is an atom-mass
+    difference.  G is continuous with G(0) = 0; cumulative[i] stores G at
+    breakpoint i.
     """
 
-    diff: PLFunction
+    breakpoints: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+    slope: Fraction
     cumulative: tuple[Fraction, ...]
 
-    @property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return self.diff.breakpoints
+    def __post_init__(self) -> None:
+        bps = self.breakpoints
+        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
+            raise OrderingError("breakpoints must run from 0 to 1")
+        if any(left >= right for left, right in zip(bps, bps[1:])):
+            raise OrderingError("breakpoints must be strictly increasing")
+        if len(self.values) != len(bps) or len(self.cumulative) != len(bps):
+            raise OrderingError("values/cumulative lengths do not match breakpoints")
 
     def g(self, s: Fraction) -> Fraction:
         """Exact G(s) = integral of D from 0 to s."""
         if not ZERO <= s <= ONE:
             raise ValueError(f"{s} outside [0, 1]")
-        i = self.diff._segment_index(s)
+        i = bisect.bisect_right(self.breakpoints, s) - 1
         if self.breakpoints[i] == s:
             return self.cumulative[i]
-        if s == ONE:
-            return self.cumulative[-1]
         dx = s - self.breakpoints[i]
-        return self.cumulative[i] + self.diff.values[i] * dx + self.diff.slopes[i] * dx * dx / 2
+        return self.cumulative[i] + self.values[i] * dx + self.slope * dx * dx / 2
 
     def g_end(self) -> Fraction:
         return self.cumulative[-1]
 
     def is_zero(self) -> bool:
-        return self.diff.is_zero()
-
-    def quadratic_pieces(self) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-        """Per segment: (left breakpoint, c0, c1, c2) with
-        G(left + x) = c0 + c1*x + c2*x^2 on the segment."""
-        pieces = []
-        for i, left in enumerate(self.breakpoints[:-1]):
-            pieces.append(
-                (left, self.cumulative[i], self.diff.values[i], self.diff.slopes[i] / 2)
-            )
-        return pieces
+        return self.slope == 0 and not any(self.values)
 
     def max_g(self) -> tuple[Fraction, Fraction]:
         """(s*, G(s*)) with G(s*) maximal; smallest s* under ties.
@@ -134,11 +132,11 @@ class DiffFunction:
         quadratic, so the maximum is among these.
         """
         best_s, best = self.breakpoints[0], self.cumulative[0]
+        m = self.slope
         for i, left in enumerate(self.breakpoints[:-1]):
             right = self.breakpoints[i + 1]
-            v, m = self.diff.values[i], self.diff.slopes[i]
             if m != 0:
-                vertex = left - v / m
+                vertex = left - self.values[i] / m
                 if left < vertex < right:
                     g_v = self.g(vertex)
                     if g_v > best:
@@ -170,7 +168,7 @@ def merged_breakpoints(a: Functional, b: Functional) -> list[Fraction]:
 
 
 def difference(a: Functional, b: Functional) -> DiffFunction:
-    """Exact D = cdf(a) - cdf(b) and G on the merged breakpoint set.
+    """Exact D = F_a - F_b and G on the merged breakpoint set.
 
     Both distribution functions have slope equal to their uniform weight
     everywhere, so D is built directly: at each merged breakpoint the
@@ -190,14 +188,13 @@ def difference(a: Functional, b: Functional) -> DiffFunction:
             acc -= atoms_b[j].weight
             j += 1
         values.append(acc + slope * p if slope else acc)
-    d = PLFunction(tuple(points), tuple(values), (slope,) * (len(points) - 1))
     cumulative = [ZERO]
     g = ZERO
     for k, left in enumerate(points[:-1]):
         dx = points[k + 1] - left
         g += values[k] * dx + slope * dx * dx / 2
         cumulative.append(g)
-    return DiffFunction(d, tuple(cumulative))
+    return DiffFunction(tuple(points), tuple(values), slope, tuple(cumulative))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +223,8 @@ class CrossingProfile:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "points": [format_rational(x) for x in self.crossing_points],
-            "areas": [format_rational(a) for a in self.areas],
+            "points": [str(x) for x in self.crossing_points],
+            "areas": [str(a) for a in self.areas],
             "initial_sign": self.initial_sign,
         }
 
@@ -237,25 +234,24 @@ def _sign_pieces(d: DiffFunction):
 
     Yields (start, end, sign, signed_area).  Segments are split at
     interior roots of their affine piece; stretches with D identically 0
-    are skipped (their area is 0).
+    are skipped (their area is 0).  A whole segment's area comes from
+    cumulative; G is evaluated only at interior roots.
     """
-    diff = d.diff
-    for i, left in enumerate(diff.breakpoints[:-1]):
-        right = diff.breakpoints[i + 1]
-        v, m = diff.values[i], diff.slopes[i]
+    bps, values, m, cumulative = d.breakpoints, d.values, d.slope, d.cumulative
+    for i, left in enumerate(bps[:-1]):
+        v = values[i]
         if v == 0 and m == 0:
             continue
-        cuts = [left, right]
+        cuts = [(left, cumulative[i])]
         if m != 0:
             root = left - v / m
-            if left < root < right:
-                cuts = [left, root, right]
-        for start, end in zip(cuts[:-1], cuts[1:]):
+            if left < root < bps[i + 1]:
+                cuts.append((root, d.g(root)))
+        cuts.append((bps[i + 1], cumulative[i + 1]))
+        for (start, g_start), (end, g_end) in zip(cuts, cuts[1:]):
             # pieces are cut at roots, so D is nonzero at the midpoint
             mid_value = v + m * ((start + end) / 2 - left)
-            sign = 1 if mid_value > 0 else -1
-            area = d.g(end) - d.g(start)
-            yield start, end, sign, area
+            yield start, end, 1 if mid_value > 0 else -1, g_end - g_start
 
 
 def crossing_profile(d: DiffFunction) -> CrossingProfile:
@@ -330,8 +326,8 @@ def verdict_to_json(verdict: Verdict, diagnose: bool = False) -> dict:
     if isinstance(verdict.witness, HingeWitness):
         witness = {
             "kind": "hinge",
-            "s": format_rational(verdict.witness.s),
-            "gap": format_rational(verdict.witness.gap),
+            "s": str(verdict.witness.s),
+            "gap": str(verdict.witness.gap),
         }
     elif isinstance(verdict.witness, LinearWitness):
         witness = {"kind": "linear", "direction": f"{verdict.witness.direction:+d}"}
@@ -352,13 +348,7 @@ def verdict_to_json(verdict: Verdict, diagnose: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def decide_cumulative(a: Functional, b: Functional) -> Verdict:
-    """Ground-truth path: A precedes B iff G(1) = 0 and max G <= 0.
-
-    Fails with a LinearWitness when the barycenters differ, otherwise
-    with the hinge at the (smallest) maximizer of G.
-    """
-    d = difference(a, b)
+def _cumulative_verdict(d: DiffFunction) -> Verdict:
     if d.is_zero():
         return Verdict(EQUAL)
     g_end = d.g_end()
@@ -372,23 +362,18 @@ def decide_cumulative(a: Functional, b: Functional) -> Verdict:
     return Verdict(FAILS, HingeWitness(s_star, g_max))
 
 
-def decide_lemma(a: Functional, b: Functional) -> Verdict:
-    """Cross-check path via the crossing profile.
+def decide_cumulative(a: Functional, b: Functional) -> Verdict:
+    """Ground-truth path: A precedes B iff G(1) = 0 and max G <= 0.
 
-    Requires equal barycenters and a nonzero difference.  With D first
-    negative and an odd number n of crossings, the comparison holds iff
-    every alternating partial sum A_0 - A_1 + ... + A_{2m-2} >= A_{2m-1}
-    (m = 1 .. (n-1)/2).  A first positive stretch, or an even n, always
-    fails; the witness is a crossing point where G is provably positive.
+    Fails with a LinearWitness when the barycenters differ, otherwise
+    with the hinge at the (smallest) maximizer of G.
     """
-    d = difference(a, b)
-    if d.is_zero():
-        raise DegenerateDifference("functionals are equal; nothing to cross")
-    if d.g_end() != 0:
-        raise MeansDiffer(
-            f"barycenters differ: G(1) = {d.g_end()} != 0"
-        )
-    profile = crossing_profile(d)
+    return _cumulative_verdict(difference(a, b))
+
+
+def _lemma_verdict(profile: CrossingProfile) -> Verdict:
+    """The crossing path's verdict from the profile of a nonzero D with
+    G(1) = 0."""
     points, areas = profile.crossing_points, profile.areas
     if profile.initial_sign > 0:
         # G rises over the first interval: G(x_1) = A_0 > 0.
@@ -407,6 +392,25 @@ def decide_lemma(a: Functional, b: Functional) -> Verdict:
             return Verdict(FAILS, witness, crossings=profile)
         partial -= areas[2 * m - 1]
     return Verdict(HOLDS, crossings=profile)
+
+
+def decide_lemma(a: Functional, b: Functional) -> Verdict:
+    """Cross-check path via the crossing profile.
+
+    Requires equal barycenters and a nonzero difference.  With D first
+    negative and an odd number n of crossings, the comparison holds iff
+    every alternating partial sum A_0 - A_1 + ... + A_{2m-2} >= A_{2m-1}
+    (m = 1 .. (n-1)/2).  A first positive stretch, or an even n, always
+    fails; the witness is a crossing point where G is provably positive.
+    """
+    d = difference(a, b)
+    if d.is_zero():
+        raise DegenerateDifference("functionals are equal; nothing to cross")
+    if d.g_end() != 0:
+        raise MeansDiffer(
+            f"barycenters differ: G(1) = {d.g_end()} != 0"
+        )
+    return _lemma_verdict(crossing_profile(d))
 
 
 def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
@@ -435,22 +439,20 @@ def decide(a: Functional, b: Functional, diagnose: bool = False) -> Verdict:
     The verdict is the cumulative path's.  In diagnostic mode the
     crossing profile is attached and the crossing path is run as well
     whenever it applies; a mismatch raises InternalDisagreement (it
-    would mean an implementation bug, not bad input).
+    would mean an implementation bug, not bad input).  Both paths read
+    the same D, built once.
     """
-    verdict = decide_cumulative(a, b)
-    if not diagnose:
-        return verdict
     d = difference(a, b)
-    profile = None
+    verdict = _cumulative_verdict(d)
+    if not diagnose or d.is_zero():
+        return verdict
+    profile = crossing_profile(d)
     lemma_outcome = None
-    if not d.is_zero():
-        profile = crossing_profile(d)
-        if d.g_end() == 0:
-            lemma_verdict = decide_lemma(a, b)
-            lemma_outcome = lemma_verdict.outcome
-            if lemma_verdict.outcome != verdict.outcome:
-                raise InternalDisagreement(
-                    f"cumulative path says {verdict.outcome}, "
-                    f"crossing path says {lemma_verdict.outcome}"
-                )
+    if d.g_end() == 0:
+        lemma_outcome = _lemma_verdict(profile).outcome
+        if lemma_outcome != verdict.outcome:
+            raise InternalDisagreement(
+                f"cumulative path says {verdict.outcome}, "
+                f"crossing path says {lemma_outcome}"
+            )
     return Verdict(verdict.outcome, verdict.witness, profile, lemma_outcome)

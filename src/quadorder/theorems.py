@@ -29,7 +29,6 @@ from .functionals import (
     ONE,
     UNIFORM,
     as_fraction,
-    format_rational,
     make_functional,
 )
 
@@ -274,5 +273,5 @@ _KIND_NAMES = {
 def params_to_json(p: TheoremParams) -> dict:
     out: dict = {"family": _KIND_NAMES[type(p)]}
     for name in p.__dataclass_fields__:
-        out[name] = format_rational(getattr(p, name))
+        out[name] = str(getattr(p, name))
     return out

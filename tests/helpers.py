@@ -1,16 +1,61 @@
-"""Seeded generators for random functionals and structured pairs.
+"""Seeded generators for random functionals and structured pairs, and
+independent reference implementations the tests compare against.
 
-Everything here draws exact rationals with small denominators and solves
+The generators draw exact rationals with small denominators and solve
 the mass/barycenter constraints exactly, so generated pairs are valid by
 construction (never by tolerance).
 """
 
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 
-from quadorder import Functional, barycenter, make_functional
+from quadorder import DiffFunction, Functional, barycenter, make_functional
+
+# The unit atom at 1.  Its distribution function is 0 on [0, 1), so
+# difference(f, UNIT_AT_ONE) equals F_f on [0, 1).
+UNIT_AT_ONE = make_functional([(1, 1)])
+
+
+def d_value(d: DiffFunction, t: Fraction) -> Fraction:
+    """D(t), right-continuous at breakpoints, read from the flat fields."""
+    i = bisect.bisect_right(d.breakpoints, t) - 1
+    return d.values[i] + d.slope * (t - d.breakpoints[i])
+
+
+def d_left_limit(d: DiffFunction, t: Fraction) -> Fraction:
+    """Limit of D from the left at t in (0, 1]."""
+    i = bisect.bisect_left(d.breakpoints, t) - 1
+    return d.values[i] + d.slope * (t - d.breakpoints[i])
+
+
+def mix(a: Functional, b: Functional, lam: Fraction) -> Functional:
+    """Convex mixture lam*a + (1-lam)*b, again a valid functional."""
+    combined = [(atom.position, lam * atom.weight) for atom in a.atoms]
+    combined += [(atom.position, (1 - lam) * atom.weight) for atom in b.atoms]
+    uniform = lam * a.uniform_weight + (1 - lam) * b.uniform_weight
+    return make_functional(combined, uniform)
+
+
+def reference_refine_grid(a: Functional, b: Functional) -> list[Fraction]:
+    """The oracle's refined hinge grid, built segment by segment with the
+    mass above each left end summed from scratch (quadratic, but plain)."""
+
+    def mass_above(func: Functional, s: Fraction) -> Fraction:
+        return sum((atom.weight for atom in func.atoms if atom.position > s), start=Fraction(0))
+
+    points = sorted({Fraction(0), Fraction(1), *a.positions(), *b.positions()})
+    grid = set(points)
+    du = b.uniform_weight - a.uniform_weight
+    for left, right in zip(points[:-1], points[1:]):
+        grid.add((left + right) / 2)
+        if du != 0:
+            vertex = 1 + (mass_above(b, left) - mass_above(a, left)) / du
+            if left <= vertex <= right:
+                grid.add(vertex)
+    return sorted(grid)
 
 DENOMINATORS = (8, 9, 10, 12, 15, 16, 20, 24, 30, 32, 40, 60)
 

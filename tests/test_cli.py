@@ -105,6 +105,33 @@ def test_check_bad_inputs_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", '{"atoms": [1]}', "uniform"],
+        ["check", '{"atoms": "x"}', "uniform"],
+        ["check", '{"pairs": [[1,2]]}', "uniform"],
+        ["check", "--interval", "0", "2", '{"atoms": [{"w": "1"}]}', "uniform"],
+        [
+            "scan", "--family", "custom",
+            "--lhs", '{"atoms":[{"t":"p","w":"1"}]}',
+            "--rhs", '{"atoms":[{"t":"1/2"}]}',
+            "--sweep", "p=0:1:1/2",
+        ],
+        [
+            "threshold", "--family", "symmetric3",
+            "--sweep", "a=1/20:9/20:1/20", "--fix", "alpha=4/5",
+            "--max-denominator", "0",
+        ],
+    ],
+)
+def test_malformed_input_is_a_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_out_file(tmp_path, capsys):
     out_path = tmp_path / "verdict.json"
     code, out, _ = run(capsys, "check", "midpoint", "uniform", "--out", str(out_path))

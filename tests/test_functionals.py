@@ -1,4 +1,7 @@
-"""Construction, distribution functions, and exact evaluation."""
+"""Construction, distribution functions, and exact evaluation.
+
+Distribution functions are read through difference(f, UNIT_AT_ONE),
+which equals F_f on [0, 1) and F_f - 1 at 1."""
 
 from __future__ import annotations
 
@@ -21,15 +24,14 @@ from quadorder import (
     UnsupportedTestFunction,
     as_fraction,
     barycenter,
-    cdf,
+    difference,
     evaluate,
     from_paper_convention,
     functional_from_json,
     functional_to_json,
     make_functional,
-    mix,
 )
-from helpers import rand_functional
+from helpers import UNIT_AT_ONE, d_left_limit, d_value, mix, rand_functional
 import random
 
 
@@ -115,39 +117,43 @@ def test_paper_convention_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# cdf
+# distribution functions
 # ---------------------------------------------------------------------------
 
 
+def cdf_value(f, t):
+    return d_value(difference(f, UNIT_AT_ONE), F(t)) + (t == 1)
+
+
+def cdf_left_limit(f, t):
+    return d_left_limit(difference(f, UNIT_AT_ONE), F(t))
+
+
 def test_cdf_midpoint_step():
-    g = cdf(MIDPOINT)
-    assert g.value(0) == 0
-    assert g.value(F(1, 3)) == 0
-    assert g.value(F(1, 2)) == 1  # right-continuous jump
-    assert g.left_limit(F(1, 2)) == 0
-    assert g.value(1) == 1
+    assert cdf_value(MIDPOINT, 0) == 0
+    assert cdf_value(MIDPOINT, F(1, 3)) == 0
+    assert cdf_value(MIDPOINT, F(1, 2)) == 1  # right-continuous jump
+    assert cdf_left_limit(MIDPOINT, F(1, 2)) == 0
+    assert cdf_value(MIDPOINT, 1) == 1
 
 
 def test_cdf_uniform_ramp():
-    g = cdf(UNIFORM)
     for t in (0, F(1, 7), F(1, 2), F(9, 10), 1):
-        assert g.value(t) == t
+        assert cdf_value(UNIFORM, t) == t
 
 
 def test_cdf_mixture_jump_on_ramp():
     f = make_functional([(F(1, 2), F(1, 2))], uniform_weight=F(1, 2))
-    g = cdf(f)
-    assert g.value(F(1, 4)) == F(1, 8)
-    assert g.left_limit(F(1, 2)) == F(1, 4)
-    assert g.value(F(1, 2)) == F(3, 4)
-    assert g.value(1) == 1
+    assert cdf_value(f, F(1, 4)) == F(1, 8)
+    assert cdf_left_limit(f, F(1, 2)) == F(1, 4)
+    assert cdf_value(f, F(1, 2)) == F(3, 4)
+    assert cdf_value(f, 1) == 1
 
 
 def test_cdf_atom_at_one():
-    g = cdf(TRAPEZOID)
-    assert g.value(0) == F(1, 2)
-    assert g.left_limit(1) == F(1, 2)
-    assert g.value(1) == 1
+    assert cdf_value(TRAPEZOID, 0) == F(1, 2)
+    assert cdf_left_limit(TRAPEZOID, 1) == F(1, 2)
+    assert cdf_value(TRAPEZOID, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +248,12 @@ seeds = st.integers(min_value=0, max_value=10**9)
 @given(seeds)
 def test_cdf_is_a_distribution_function(seed):
     f = rand_functional(random.Random(seed))
-    g = cdf(f)
-    assert g.value(1) == 1
-    assert g.is_nondecreasing()
+    d = difference(f, UNIT_AT_ONE)
+    assert d.values[-1] == 0  # F_f(1) = 1
+    assert d.slope >= 0 and d.values[0] >= 0
+    for t, value in zip(d.breakpoints[1:], d.values[1:-1]):
+        assert value >= d_left_limit(d, t)
+    assert d_left_limit(d, 1) <= 1
 
 
 @given(seeds)

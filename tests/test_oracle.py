@@ -16,7 +16,7 @@ from quadorder import (
     oracle_decide,
     refine_grid,
 )
-from helpers import equal_mean_pair, rand_functional
+from helpers import equal_mean_pair, rand_functional, reference_refine_grid
 
 TWO_NEAR_EDGES = make_functional([(F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))])
 
@@ -65,6 +65,16 @@ def test_refine_grid_is_sorted_and_unique():
         grid = refine_grid(a, b)
         assert grid == sorted(set(grid))
         assert grid[0] == 0 and grid[-1] == 1
+
+
+def test_refine_grid_matches_the_segment_by_segment_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        a, b = rand_functional(rng), rand_functional(rng)
+        assert refine_grid(a, b) == reference_refine_grid(a, b)
+    for _ in range(50):
+        a, b = equal_mean_pair(rng)
+        assert refine_grid(a, b) == reference_refine_grid(a, b)
 
 
 def test_oracle_matches_decider_on_equal_mean_pairs():

@@ -30,7 +30,8 @@ from quadorder import (
     make_functional,
     verify_witness,
 )
-from helpers import equal_mean_pair, rand_functional
+from quadorder import ordering
+from helpers import d_value, equal_mean_pair, rand_functional
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -46,9 +47,9 @@ TWO_AT_QUARTERS = make_functional([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
 def test_difference_midpoint_vs_uniform():
     d = difference(MIDPOINT, UNIFORM)
     # D = -t on [0, 1/2), 1 - t on [1/2, 1)
-    assert d.diff.value(F(1, 4)) == F(-1, 4)
-    assert d.diff.value(F(1, 2)) == F(1, 2)
-    assert d.diff.value(F(3, 4)) == F(1, 4)
+    assert d_value(d, F(1, 4)) == F(-1, 4)
+    assert d_value(d, F(1, 2)) == F(1, 2)
+    assert d_value(d, F(3, 4)) == F(1, 4)
     # G(s) = -s^2/2 on the first leg, back to 0 at 1
     assert d.g(F(1, 4)) == F(-1, 32)
     assert d.g(F(1, 2)) == F(-1, 8)
@@ -64,8 +65,8 @@ def test_difference_identical_is_zero():
 def test_difference_uniform_vs_trapezoid():
     d = difference(UNIFORM, TRAPEZOID)
     # D(t) = t - 1/2 on (0, 1)
-    assert d.diff.value(F(1, 4)) == F(-1, 4)
-    assert d.diff.value(F(3, 4)) == F(1, 4)
+    assert d_value(d, F(1, 4)) == F(-1, 4)
+    assert d_value(d, F(3, 4)) == F(1, 4)
     assert d.g_end() == 0
     _, g_max = d.max_g()
     assert g_max <= 0
@@ -78,18 +79,6 @@ def test_g_end_is_barycenter_gap():
         assert difference(a, b).g_end() == barycenter(b) - barycenter(a)
 
 
-def test_g_derivative_matches_diff_symbolically():
-    rng = random.Random(11)
-    for _ in range(25):
-        a, b = rand_functional(rng), rand_functional(rng)
-        d = difference(a, b)
-        for i, (left, c0, c1, c2) in enumerate(d.quadratic_pieces()):
-            assert left == d.breakpoints[i]
-            assert c0 == d.cumulative[i]
-            assert c1 == d.diff.values[i]
-            assert 2 * c2 == d.diff.slopes[i]
-
-
 def test_g_is_continuous_at_breakpoints():
     rng = random.Random(13)
     for _ in range(25):
@@ -100,8 +89,8 @@ def test_g_is_continuous_at_breakpoints():
             dx = right - left
             reached = (
                 d.cumulative[i - 1]
-                + d.diff.values[i - 1] * dx
-                + d.diff.slopes[i - 1] * dx * dx / 2
+                + d.values[i - 1] * dx
+                + d.slope * dx * dx / 2
             )
             assert reached == d.cumulative[i]
 
@@ -281,6 +270,21 @@ def test_decide_diagnose_attaches_profile_and_paths():
     assert v.lemma_outcome == HOLDS
     v = decide(SIMPSON, SIMPSON, diagnose=True)
     assert v.outcome == EQUAL and v.crossings is None
+
+
+def test_decide_diagnose_builds_the_difference_once(monkeypatch):
+    calls = {"difference": 0, "crossing_profile": 0}
+    for name in calls:
+        original = getattr(ordering, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ordering, name, counted)
+    v = decide(TWO_NEAR_EDGES, UNIFORM, diagnose=True)
+    assert v.lemma_outcome == v.outcome == FAILS
+    assert calls == {"difference": 1, "crossing_profile": 1}
 
 
 def test_decide_simpson_vs_thirds_consistent_both_paths():
