@@ -59,6 +59,7 @@ from .theorems import (
     check_three_node_lower,
     check_two_vs_three,
     functional_pair,
+    params_from_json,
     params_to_json,
 )
 

@@ -19,10 +19,13 @@ import argparse
 import csv
 import io
 import json
+import operator
 import random
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor
 from typing import Callable, Optional, Sequence
 
@@ -32,15 +35,14 @@ from .functionals import (
     HALF,
     ONE,
     PRESETS,
-    UNIFORM,
     ZERO,
     as_fraction,
     functional_from_json,
-    make_functional,
 )
 from .oracle import oracle_decide, refine_grid
 from .ordering import (
     FAILS,
+    InternalDisagreement,
     Verdict,
     decide,
     verdict_to_json,
@@ -55,6 +57,7 @@ from .theorems import (
     TwoVsThreeParams,
     check_params,
     functional_pair,
+    params_from_json,
     params_to_json,
 )
 
@@ -86,100 +89,90 @@ class NonMonotoneRegion(CLIError):
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+# One token per match: a number, a name, an operator or parenthesis, or a
+# bad character.
+_TOKEN = re.compile(r"\s*(?:([\d.]+)|([^\W\d]\w*)|([-+*/()])|(\S))")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "~": 3}  # "~" is unary minus
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# Each distinct expression text is parsed once; a scan or threshold search
+# re-evaluates the same few texts at every point.
+_EXPR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_EXPR_CACHE_SIZE)
+def _compile(text: str) -> tuple:
+    """Postfix form of an expression: Fraction literals, parameter names,
+    and the operators of _PRECEDENCE.  Parsed by shunting-yard without
+    recursion, so nesting depth costs only list space."""
+    out: list = []
+    ops: list[str] = []
+    depth = 0  # open parentheses on ops
+    expect_operand = True
+
+    def emit(op: str) -> None:
+        # Fold an operator whose operands are all literals; x/0 is left
+        # for the evaluator to report.
+        args = out[-1:] if op == "~" else out[-2:]
+        if any(type(v) is str for v in args) or (op == "/" and args[1] == 0):
+            out.append(op)
         else:
-            raise CLIError(f"bad character {ch!r} in expression {text!r}")
-    return tokens
+            del out[-len(args):]
+            out.append(-args[0] if op == "~" else _BINARY[op](*args))
+
+    for number, name, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise CLIError(f"bad character {bad!r} in expression {text!r}")
+        if expect_operand and (number or name):
+            try:
+                out.append(Fraction(number) if number else name)
+            except ValueError:
+                raise CLIError(f"bad number {number!r} in {text!r}") from None
+            expect_operand = False
+        elif expect_operand and op in ("-", "+", "("):
+            if op != "+":
+                ops.append("~" if op == "-" else op)
+                depth += op == "("
+        elif expect_operand:
+            raise CLIError(f"unexpected {op!r} in expression {text!r}")
+        elif op in _BINARY:
+            while ops and ops[-1] != "(" and _PRECEDENCE[ops[-1]] >= _PRECEDENCE[op]:
+                emit(ops.pop())
+            ops.append(op)
+            expect_operand = True
+        elif op == ")" and depth:
+            while ops[-1] != "(":
+                emit(ops.pop())
+            ops.pop()
+            depth -= 1
+        else:
+            raise CLIError(f"trailing junk in expression {text!r}")
+    if expect_operand:
+        raise CLIError(f"unexpected end of expression {text!r}")
+    if depth:
+        raise CLIError(f"missing ')' in expression {text!r}")
+    for op in reversed(ops):
+        emit(op)
+    return tuple(out)
 
 
 def eval_rational_expr(text: str, env: Optional[dict[str, Fraction]] = None) -> Fraction:
     """Evaluate +,-,*,/ over rationals and named parameters, exactly."""
-    env = env or {}
-    tokens = _tokenize(str(text))
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr() -> Fraction:
-        value = parse_term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                value = value + parse_term()
-            else:
-                value = value - parse_term()
-        return value
-
-    def parse_term() -> Fraction:
-        value = parse_factor()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                value = value * parse_factor()
-            else:
-                divisor = parse_factor()
-                if divisor == 0:
-                    raise CLIError(f"division by zero in {text!r}")
-                value = value / divisor
-        return value
-
-    def parse_factor() -> Fraction:
-        tok = peek()
-        if tok is None:
-            raise CLIError(f"unexpected end of expression {text!r}")
-        if tok == "-":
-            take()
-            return -parse_factor()
-        if tok == "+":
-            take()
-            return parse_factor()
-        if tok == "(":
-            take()
-            value = parse_expr()
-            if peek() != ")":
-                raise CLIError(f"missing ')' in expression {text!r}")
-            take()
-            return value
-        take()
-        if tok[0].isdigit() or tok[0] == ".":
-            try:
-                return Fraction(tok)
-            except ValueError:
-                raise CLIError(f"bad number {tok!r} in {text!r}") from None
-        if tok in env:
-            return env[tok]
-        raise CLIError(f"unknown name {tok!r} in expression {text!r}")
-
-    value = parse_expr()
-    if pos != len(tokens):
-        raise CLIError(f"trailing junk in expression {text!r}")
-    return value
+    stack: list[Fraction] = []
+    for item in _compile(str(text)):
+        if type(item) is not str:  # a literal
+            stack.append(item)
+        elif item == "~":
+            stack[-1] = -stack[-1]
+        elif item in _BINARY:
+            right = stack.pop()
+            if item == "/" and right == 0:
+                raise CLIError(f"division by zero in {text!r}")
+            stack[-1] = _BINARY[item](stack[-1], right)
+        elif env and item in env:
+            stack.append(env[item])
+        else:
+            raise CLIError(f"unknown name {item!r} in expression {text!r}")
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,101 +204,65 @@ class Range:
 
 @dataclass(frozen=True)
 class Family:
-    """A named one-or-two parameter slice through the comparison space."""
+    """A parametric pair of functionals, as data.
+
+    lhs and rhs are each a preset name or a functional template in the
+    --lhs/--rhs syntax, whose scalars are expressions in the parameters.
+    label is a template of a theorems parameter record (the shape
+    params_to_json emits) whose case label a scan reports, or None.
+    defaults is ordered and gives the scan columns; fail_toward names the
+    direction along which holds eventually gives way to fails, used only
+    to report a range cap when every grid point holds.  A custom family
+    carries lhs and rhs alone.
+    """
 
     name: str
-    param_order: tuple[str, ...]
-    defaults: dict[str, Fraction]
-    ranges: dict[str, Range]
-    build: Callable[[dict[str, Fraction]], tuple[Functional, Functional]]
-    label: Callable[[dict[str, Fraction]], Optional[TheoremParams]]
-    # Direction along which holds eventually gives way to fails, used only
-    # to report a range cap when every grid point holds.
-    fail_toward: dict[str, str]
+    lhs: object
+    rhs: object
+    defaults: dict[str, Fraction] = field(default_factory=dict)
+    ranges: dict[str, Range] = field(default_factory=dict)
+    label: Optional[dict[str, str]] = None
+    fail_toward: dict[str, str] = field(default_factory=dict)
+
+    def build(self, params: dict[str, Fraction]) -> tuple[Functional, Functional]:
+        return _build_side(self.lhs, params), _build_side(self.rhs, params)
 
 
-def _build_symmetric3(p: dict[str, Fraction]) -> tuple[Functional, Functional]:
-    a, alpha = p["a"], p["alpha"]
-    rule = make_functional([(ONE - alpha, a), (HALF, 1 - 2 * a), (alpha, a)])
-    return rule, UNIFORM
-
-
-def _label_symmetric3(p: dict[str, Fraction]) -> Optional[TheoremParams]:
-    return ThreeNodeLowerParams(
-        p["a"], 1 - 2 * p["a"], p["a"], p["alpha"], HALF, ONE - p["alpha"]
-    )
-
-
-def _build_endpoint4(p: dict[str, Fraction]) -> tuple[Functional, Functional]:
-    a, alpha = p["a"], p["alpha"]
-    b = HALF - a
-    rule = make_functional([(ZERO, a), (ONE - alpha, b), (alpha, b), (ONE, a)])
-    return UNIFORM, rule
-
-
-def _label_endpoint4(p: dict[str, Fraction]) -> Optional[TheoremParams]:
-    b = HALF - p["a"]
-    return FourNodeUpperParams(p["a"], b, b, p["a"], p["alpha"], ONE - p["alpha"])
-
-
-def _build_two_vs_three(p: dict[str, Fraction]) -> tuple[Functional, Functional]:
-    alpha = p["alpha"]
-    two = make_functional([(ONE - alpha, HALF), (alpha, HALF)])
-    three = make_functional([(ZERO, p["b1"]), (HALF, p["b2"]), (ONE, p["b3"])])
-    return two, three
-
-
-def _label_two_vs_three(p: dict[str, Fraction]) -> Optional[TheoremParams]:
-    return TwoVsThreeParams(
-        HALF, p["alpha"], ONE - p["alpha"], HALF, p["b1"], p["b2"], p["b3"]
-    )
-
-
-def _build_bp1(p: dict[str, Fraction]) -> tuple[Functional, Functional]:
-    x = p["x"]
-    quarter = Fraction(1, 4)
-    rule = make_functional(
-        [(ZERO, quarter), (x, quarter), (ONE - x, quarter), (ONE, quarter)]
-    )
-    return UNIFORM, rule
-
-
-def _label_bp1(p: dict[str, Fraction]) -> Optional[TheoremParams]:
-    x = p["x"]
-    if not ZERO < x < HALF:
-        return None  # endpoints merge atoms; only the generic path applies
-    quarter = Fraction(1, 4)
-    return FourNodeUpperParams(quarter, quarter, quarter, quarter, ONE - x, x)
+def _atoms(*pairs: tuple[str, str]) -> dict:
+    return {"atoms": [{"t": t, "w": w} for t, w in pairs]}
 
 
 FAMILIES: dict[str, Family] = {
     "symmetric3": Family(
         name="symmetric3",
-        param_order=("a", "alpha"),
+        lhs=_atoms(("1-alpha", "a"), ("1/2", "1-2*a"), ("alpha", "a")),
+        rhs="uniform",
         defaults={"a": Fraction(1, 4), "alpha": Fraction(3, 4)},
         ranges={
             "a": Range(ZERO, HALF),
             "alpha": Range(HALF, ONE),
         },
-        build=_build_symmetric3,
-        label=_label_symmetric3,
+        label={"family": "three-node-lower", "a1": "a", "a2": "1-2*a", "a3": "a",
+               "alpha1": "alpha", "alpha2": "1/2", "alpha3": "1-alpha"},
         fail_toward={"a": "high", "alpha": "high"},
     ),
     "endpoint4": Family(
         name="endpoint4",
-        param_order=("a", "alpha"),
+        lhs="uniform",
+        rhs=_atoms(("0", "a"), ("1-alpha", "1/2-a"), ("alpha", "1/2-a"), ("1", "a")),
         defaults={"a": Fraction(1, 4), "alpha": Fraction(3, 4)},
         ranges={
             "a": Range(ZERO, HALF),
             "alpha": Range(HALF, ONE),
         },
-        build=_build_endpoint4,
-        label=_label_endpoint4,
+        label={"family": "four-node-upper", "a1": "a", "a2": "1/2-a", "a3": "1/2-a",
+               "a4": "a", "alpha2": "alpha", "alpha3": "1-alpha"},
         fail_toward={"a": "low", "alpha": "low"},
     ),
     "twoVsThree": Family(
         name="twoVsThree",
-        param_order=("alpha", "b1", "b2", "b3"),
+        lhs=_atoms(("1-alpha", "1/2"), ("alpha", "1/2")),
+        rhs=_atoms(("0", "b1"), ("1/2", "b2"), ("1", "b3")),
         defaults={
             "alpha": Fraction(3, 5),
             "b1": Fraction(1, 6),
@@ -318,17 +275,19 @@ FAMILIES: dict[str, Family] = {
             "b2": Range(ZERO, ONE),
             "b3": Range(ZERO, ONE),
         },
-        build=_build_two_vs_three,
-        label=_label_two_vs_three,
+        label={"family": "two-vs-three", "a": "1/2", "alpha1": "alpha", "alpha2": "1-alpha",
+               "beta": "1/2", "b1": "b1", "b2": "b2", "b3": "b3"},
         fail_toward={"alpha": "high"},
     ),
     "bp1": Family(
         name="bp1",
-        param_order=("x",),
+        lhs="uniform",
+        rhs=_atoms(("0", "1/4"), ("x", "1/4"), ("1-x", "1/4"), ("1", "1/4")),
         defaults={"x": Fraction(1, 4)},
         ranges={"x": Range(ZERO, HALF, lo_closed=True, hi_closed=True)},
-        build=_build_bp1,
-        label=_label_bp1,
+        # At x = 0 and x = 1/2 the record is degenerate (ParamError): no label.
+        label={"family": "four-node-upper", "a1": "1/4", "a2": "1/4", "a3": "1/4",
+               "a4": "1/4", "alpha2": "1-x", "alpha3": "x"},
         fail_toward={"x": "high"},
     ),
 }
@@ -344,19 +303,23 @@ def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None
                 f"{name} = {value} outside the valid range {rng.describe()} "
                 f"for family {family.name}"
             )
-    if family.name == "twoVsThree":
-        if params["b1"] + params["b2"] + params["b3"] != 1:
-            raise CLIError("twoVsThree weights b1 + b2 + b3 must equal 1")
 
 
 def _case_label(family: Family, params: dict[str, Fraction]) -> Optional[CaseCheck]:
+    if family.label is None:
+        return None
+    record = {
+        key: text if key == "family" else eval_rational_expr(text, params)
+        for key, text in family.label.items()
+    }
     try:
-        theorem_params = family.label(params)
+        return check_params(params_from_json(record))
     except ParamError:
         return None
-    if theorem_params is None:
-        return None
-    return check_params(theorem_params)
+
+
+# A sweep grid longer than this is bad input: each point costs a decide.
+MAX_GRID_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -371,12 +334,12 @@ class ScanSpec:
     fixed: dict[str, Fraction]
 
     def grid(self) -> list[Fraction]:
-        values = []
-        v = self.start
-        while v <= self.stop:
-            values.append(v)
-            v += self.step
-        return values
+        count = (self.stop - self.start) // self.step + 1
+        if count > MAX_GRID_POINTS:
+            raise CLIError(
+                f"sweep grid has {count} points, more than the limit of {MAX_GRID_POINTS}"
+            )
+        return [self.start + i * self.step for i in range(count)]
 
     def params_at(self, value: Fraction) -> dict[str, Fraction]:
         params = dict(self.fixed)
@@ -407,21 +370,14 @@ def _make_scan_spec(
         fixed[key.strip()] = eval_rational_expr(value_text)
     fixed.pop(name, None)
     spec = ScanSpec(family, name, start, stop, step, fixed)
-    grid = spec.grid()
-    if not grid:
-        raise CLIError("sweep grid is empty")
-    for value in grid:
-        if family.ranges:
+    if family.ranges:
+        for value in spec.grid():
             _validate_family_params(family, spec.params_at(value))
-        else:
-            # custom family: building each grid point surfaces mass and
-            # domain violations instead of declared ranges
-            family.build(spec.params_at(value))
     return spec
 
 
 # ---------------------------------------------------------------------------
-# Custom family: functional templates with parameter expressions
+# Functional templates with parameter expressions
 # ---------------------------------------------------------------------------
 
 
@@ -435,50 +391,41 @@ def _load_json_or_file(text: str) -> object:
             raise CLIError(f"cannot read {text!r}: {exc}") from None
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CLIError(f"bad JSON in {text!r}: {exc}") from None
+
+
+# A functional's scalars sit at most three levels down: {"atoms": [{"t": ...}]}.
+_TEMPLATE_DEPTH = 3
 
 
 def _instantiate_template(obj: object, env: dict[str, Fraction]) -> Functional:
     """Evaluate every scalar of the template as an expression in env;
     functional_from_json then checks the shape."""
 
-    def resolve(node: object) -> object:
+    def resolve(node: object, depth: int) -> object:
+        if not isinstance(node, (dict, list)):
+            return eval_rational_expr(node, env)
+        if depth == _TEMPLATE_DEPTH:
+            raise CLIError("template nests deeper than the fields of a functional")
         if isinstance(node, dict):
-            return {key: resolve(value) for key, value in node.items()}
-        if isinstance(node, list):
-            return [resolve(value) for value in node]
-        return str(eval_rational_expr(node, env))
+            return {key: resolve(value, depth + 1) for key, value in node.items()}
+        return [resolve(value, depth + 1) for value in node]
 
-    return functional_from_json(resolve(obj))
+    return functional_from_json(resolve(obj, 0))
 
 
-def _make_custom_family(lhs_text: str, rhs_text: str) -> Family:
-    lhs_template = _load_json_or_file(lhs_text)
-    rhs_template = _load_json_or_file(rhs_text)
-
-    def build(params: dict[str, Fraction]) -> tuple[Functional, Functional]:
-        return (
-            _instantiate_template(lhs_template, params),
-            _instantiate_template(rhs_template, params),
-        )
-
-    return Family(
-        name="custom",
-        param_order=(),
-        defaults={},
-        ranges={},
-        build=build,
-        label=lambda params: None,
-        fail_toward={},
-    )
+def _build_side(side: object, params: dict[str, Fraction]) -> Functional:
+    if isinstance(side, str) and side in PRESETS:
+        return PRESETS[side]
+    return _instantiate_template(side, params)
 
 
 def _resolve_family(args: argparse.Namespace) -> Family:
     if args.family == "custom":
         if not (args.lhs and args.rhs):
             raise CLIError("family custom needs --lhs and --rhs templates")
-        return _make_custom_family(args.lhs, args.rhs)
+        return Family("custom", _load_json_or_file(args.lhs), _load_json_or_file(args.rhs))
     try:
         return FAMILIES[args.family]
     except KeyError:
@@ -654,14 +601,14 @@ def run_threshold(
 def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
     """One row per grid point: parameters, holds, case label, witness s."""
     family = spec.family
-    columns = list(family.param_order) or [spec.sweep, *sorted(spec.fixed)]
+    columns = list(family.defaults) or [spec.sweep, *sorted(spec.fixed)]
     header = columns + ["holds", "case", "witness_s"]
     rows = []
     for value in spec.grid():
         params = spec.params_at(value)
         a, b = family.build(params)
         verdict = decide(a, b)
-        check = _case_label(family, params) if family.param_order else None
+        check = _case_label(family, params)
         witness_s = ""
         if verdict.outcome == FAILS and hasattr(verdict.witness, "s"):
             witness_s = str(verdict.witness.s)
@@ -1030,6 +977,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CLIError, FunctionalError, ParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalDisagreement as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ __all__ = [
     "check_params",
     "functional_pair",
     "params_to_json",
+    "params_from_json",
 ]
 
 
@@ -275,3 +276,15 @@ def params_to_json(p: TheoremParams) -> dict:
     for name in p.__dataclass_fields__:
         out[name] = str(getattr(p, name))
     return out
+
+
+_KINDS = {name: kind for kind, name in _KIND_NAMES.items()}
+
+
+def params_from_json(obj: dict) -> TheoremParams:
+    """Inverse of params_to_json; field values may be any rational."""
+    fields = dict(obj)
+    kind = _KINDS.get(fields.pop("family", None))
+    if kind is None or set(fields) != set(kind.__dataclass_fields__):
+        raise ParamError(f"not a parameter record: {obj!r}")
+    return kind(**fields)

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from quadorder.cli import eval_rational_expr, main, simplest_between
+from quadorder import FAILS, Verdict, functional_pair, ordering, params_from_json
+from quadorder.cli import (
+    FAMILIES,
+    MAX_GRID_POINTS,
+    ScanSpec,
+    _case_label,
+    eval_rational_expr,
+    main,
+    simplest_between,
+)
 
 
 def run(capsys, *argv):
@@ -123,12 +133,61 @@ def test_check_bad_inputs_exit_2(capsys):
             "--sweep", "a=1/20:9/20:1/20", "--fix", "alpha=4/5",
             "--max-denominator", "0",
         ],
+        # nesting deeper than the interpreter's recursion limit
+        ["scan", "--family", "bp1", "--sweep", "x=" + "(" * 3000 + "0" + ")" * 2999 + ":1/2:1/4"],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": [{"t": "p", "w": "' + "-" * 3000 + '1/2"}]}',
+            "--rhs", '{"atoms": [], "uniform": "1"}',
+        ],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": ' + "[" * 900 + "]" * 900 + "}",
+            "--rhs", '{"atoms": [], "uniform": "1"}',
+        ],
+        # parses as JSON, but too deep to print
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"uniform": ' + "[" * 989 + "]" * 989 + "}",
+            "--rhs", '{"atoms": [], "uniform": "1"}',
+        ],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": ' + "[" * 100000 + "]" * 100000 + "}",
+            "--rhs", '{"atoms": [], "uniform": "1"}',
+        ],
+        # 5 * 10**8 + 1 grid points
+        ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000"],
+        ["threshold", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000"],
     ],
 )
 def test_malformed_input_is_a_one_line_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
+    def no_grid_points(*args):
+        raise AssertionError("a grid point was visited")
+
+    monkeypatch.setattr(ScanSpec, "params_at", no_grid_points)
+    code, out, err = run(capsys, "scan", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000")
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: sweep grid has 500000001 points, more than the limit of {MAX_GRID_POINTS}\n"
+    )
+    spec = ScanSpec(None, "x", F(0), F(1), F(1, MAX_GRID_POINTS - 1), {})
+    assert len(spec.grid()) == MAX_GRID_POINTS
+
+
+def test_internal_disagreement_exits_3(capsys, monkeypatch):
+    # Exit 1 means "fails"; a bug must never be reported that way.
+    monkeypatch.setattr(ordering, "_lemma_verdict", lambda profile: Verdict(FAILS))
+    code, out, err = run(capsys, "check", "midpoint", "uniform", "--diagnose")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -331,6 +390,14 @@ def test_scan_custom_family_with_expressions(capsys):
     assert flags == ["false", "false", "true", "true", "true"]
 
 
+def test_scan_sweep_value_nested_3000_deep(capsys):
+    sweep = "x=" + "(" * 3000 + "0" + ")" * 3000 + ":1/2:1/4"
+    code, out, err = run(capsys, "scan", "--family", "bp1", "--sweep", sweep)
+    assert code == 0 and err == ""
+    _, expected, _ = run(capsys, "scan", "--family", "bp1", "--sweep", "x=0:1/2:1/4")
+    assert out == expected
+
+
 def test_scan_deterministic_bytes(capsys):
     args = ("scan", "--family", "bp1", "--sweep", "x=0:1/2:1/10")
     _, first, _ = run(capsys, *args)
@@ -346,6 +413,44 @@ def test_scan_out_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert out_path.read_text().startswith("x,holds,case,witness_s\n")
+
+
+# ---------------------------------------------------------------------------
+# named families are data
+# ---------------------------------------------------------------------------
+
+
+def _random_params(name, rng):
+    """Random parameters strictly inside the family's declared ranges."""
+    def inside(rng_, den=97):
+        return rng_.lo + (rng_.hi - rng_.lo) * F(rng.randint(1, den - 1), den)
+
+    family = FAMILIES[name]
+    params = {key: inside(family.ranges[key]) for key in family.defaults}
+    if name == "twoVsThree":  # the three weights must sum to 1
+        params["b1"], params["b2"] = params["b1"] / 2, params["b2"] / 2
+        params["b3"] = 1 - params["b1"] - params["b2"]
+    return params
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_family_templates_match_the_theorem_records(name):
+    family = FAMILIES[name]
+    assert not any(callable(getattr(family, f)) for f in family.__dataclass_fields__)
+    rng = random.Random(name)
+    for _ in range(50):
+        params = _random_params(name, rng)
+        record = {
+            key: text if key == "family" else eval_rational_expr(text, params)
+            for key, text in family.label.items()
+        }
+        assert family.build(params) == functional_pair(params_from_json(record))
+
+
+def test_bp1_endpoints_get_no_case_label():
+    for x in (F(0), F(1, 2)):
+        assert _case_label(FAMILIES["bp1"], {"x": x}) is None
+    assert _case_label(FAMILIES["bp1"], {"x": F(1, 4)}).case is not None
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +502,15 @@ def test_eval_rational_expr():
         eval_rational_expr("q + 1", {"p": F(1)})
     with pytest.raises(ValueError):
         eval_rational_expr("1 +")
+    # no recursion: depth and length cost only list space
+    assert eval_rational_expr("+".join(["1"] * 5000)) == 5000
+    assert eval_rational_expr("(" * 3000 + "p" + ")" * 3000, {"p": F(2)}) == 2
+    assert eval_rational_expr("-" * 3000 + "1/2") == F(1, 2)
+    assert eval_rational_expr("-" * 3001 + "1/2") == F(-1, 2)
+    with pytest.raises(ValueError):
+        eval_rational_expr("(" * 3000 + "1" + ")" * 2999)
+    with pytest.raises(ValueError):
+        eval_rational_expr("1" + ")" * 3000)
 
 
 def test_simplest_between():

@@ -21,6 +21,8 @@ from quadorder import (
     decide,
     difference,
     functional_pair,
+    params_from_json,
+    params_to_json,
 )
 from quadorder.cli import _SAMPLERS, run_agreement
 
@@ -245,3 +247,29 @@ def test_two_vs_three_alpha_thresholds():
             assert check_two_vs_three(p).holds is expected
             two, three = functional_pair(p)
             assert decide(two, three).holds is expected
+
+
+# ---------------------------------------------------------------------------
+# JSON form of parameter records
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theorem", sorted(_SAMPLERS))
+def test_params_json_round_trip(theorem):
+    rng = random.Random(7)
+    for _ in range(200):
+        q = _SAMPLERS[theorem](rng)
+        assert params_from_json(params_to_json(q)) == q
+
+
+def test_params_from_json_rejects_what_is_not_a_record():
+    q = TwoVsThreeParams(F(1, 2), F(3, 5), F(2, 5), F(1, 2), F(1, 6), F(2, 3), F(1, 6))
+    good = params_to_json(q)
+    for bad in (
+        dict(good, family="no-such-theorem"),
+        {k: v for k, v in good.items() if k != "b3"},
+        dict(good, extra="1"),
+        dict(good, b3="1/3"),  # weights no longer sum to 1
+    ):
+        with pytest.raises(ParamError):
+            params_from_json(bad)
