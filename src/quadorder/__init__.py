@@ -42,7 +42,6 @@ from .ordering import (
     Verdict,
     crossing_profile,
     decide,
-    decide_cumulative,
     decide_lemma,
     difference,
     verdict_to_json,

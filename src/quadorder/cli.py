@@ -456,9 +456,10 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return f + 1 / sub
 
 
-def _holds_at(family: Family, params: dict[str, Fraction]) -> bool:
-    a, b = family.build(params)
-    return decide(a, b).holds
+# The bisection runs to a resolution of 1/(2 * max_denominator**2), so its
+# decide count grows with the digits of the limit: at this cap a named-family
+# threshold takes about 210 decides.
+MAX_DENOMINATOR = 10**30
 
 
 def run_threshold(
@@ -470,14 +471,25 @@ def run_threshold(
     between the grid edge and the valid-range bound when every grid
     point holds), then refines the bracket by rational bisection until
     at most one rational with denominator <= max_denominator fits,
-    takes that rational, and confirms it against fresh probes on both
-    sides.
+    takes that rational, and confirms it against one fresh probe on the
+    side its own verdict does not decide.
+
+    The search runs in u = sign * v, where sign is +1 when the holds-region
+    lies below the switch and -1 when it lies above, so the holds side is
+    always toward lower u; every probe is decided at v = sign * u.
     """
     if max_denominator < 1:
         raise CLIError(f"--max-denominator must be at least 1, got {max_denominator}")
+    if max_denominator > MAX_DENOMINATOR:
+        raise CLIError(f"--max-denominator must be at most {MAX_DENOMINATOR}")
     family = spec.family
     grid = spec.grid()
-    flags = [_holds_at(family, spec.params_at(v)) for v in grid]
+
+    def holds(v: Fraction) -> bool:
+        a, b = family.build(spec.params_at(v))
+        return decide(a, b).holds
+
+    flags = [holds(v) for v in grid]
     switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
     if len(switches) > 1:
         raise NonMonotoneRegion(
@@ -496,101 +508,74 @@ def run_threshold(
         },
     }
 
-    def holds(v: Fraction) -> bool:
-        return _holds_at(family, spec.params_at(v))
-
-    def refine(lo: Fraction, hi: Fraction, direction: str) -> dict:
-        # Invariant: the holds side is lo for holds_below, hi for holds_above.
-        # Shrink until [lo, hi] contains at most one rational with denominator
-        # <= max_denominator (two distinct p/q, r/s differ by >= 1/(q*s)).
-        resolution = Fraction(1, 2 * max_denominator * max_denominator)
-        while hi - lo > resolution:
-            mid = (lo + hi) / 2
-            if holds(mid) == (direction == "holds_below"):
-                lo = mid
-            else:
-                hi = mid
-        candidate = simplest_between(lo, hi)
-        exact = candidate.denominator <= max_denominator
-        if not exact:
-            candidate = lo if direction == "holds_below" else hi
-        attained = holds(candidate)
-        # Confirm the boundary with fresh probes strictly on each side.
-        before, after = (lo + candidate) / 2, (candidate + hi) / 2
-        if direction == "holds_below":
-            ok_before = before == candidate or holds(before)
-            ok_after = after == candidate or not holds(after)
-            consistent = ok_after if attained else ok_before
-        else:
-            ok_before = before == candidate or not holds(before)
-            ok_after = after == candidate or holds(after)
-            consistent = ok_before if attained else ok_after
-        if not consistent:
-            raise NonMonotoneRegion(
-                f"holds-region is not monotone inside the bracket around {candidate}"
-            )
-        return {
-            "direction": direction,
-            "threshold": str(candidate),
-            "attained": attained,
-            "exact": exact,
-            "basis": "refined",
-        }
+    def report(u: Fraction, attained: bool, exact: bool, basis: str) -> dict:
+        result.update(
+            direction="holds_below" if sign > 0 else "holds_above",
+            threshold=str(sign * u),
+            attained=attained,
+            exact=exact,
+            basis=basis,
+        )
+        return result
 
     if switches:
         i = switches[0]
-        direction = "holds_below" if flags[i] else "holds_above"
-        result.update(refine(grid[i], grid[i + 1], direction))
-        return result
-
-    if not any(flags):
-        raise NonMonotoneRegion(
-            f"no grid point holds; nothing to bracket along {spec.sweep}"
-        )
-    # Every grid point holds.  Probe between the grid edge and the
-    # valid-range bound: any boundary representable within the denominator
-    # limit lies at least 1/(max_denominator * bound.denominator) inside
-    # the bound, so one probe either brackets it or rules it out.
-    toward = family.fail_toward.get(spec.sweep)
-    if toward is None:
-        raise NonMonotoneRegion(
-            f"every grid point holds and family {family.name!r} declares no "
-            f"fail direction for {spec.sweep!r}; widen the grid"
-        )
-    rng = family.ranges[spec.sweep]
-    bound = rng.hi if toward == "high" else rng.lo
-    closed = rng.hi_closed if toward == "high" else rng.lo_closed
-    direction = "holds_below" if toward == "high" else "holds_above"
-    if closed and holds(bound):
-        result.update(
-            direction=direction,
-            threshold=str(bound),
-            attained=True,
-            exact=True,
-            basis="range-cap",
-        )
-        return result
-    edge = grid[-1] if toward == "high" else grid[0]
-    margin = Fraction(1, 2 * max_denominator * bound.denominator)
-    probe = bound - margin if toward == "high" else bound + margin
-    if not (min(edge, bound) < probe < max(edge, bound)):
-        probe = (edge + bound) / 2
-    if holds(probe):
-        # No failing point with denominator <= max_denominator below the
-        # bound: the holds-region runs up to the (open) range bound.
-        result.update(
-            direction=direction,
-            threshold=str(bound),
-            attained=False,
-            exact=True,
-            basis="range-cap",
-        )
-        return result
-    if toward == "high":
-        result.update(refine(edge, probe, direction))
+        sign = 1 if flags[i] else -1
+        lo, hi = sorted((sign * grid[i], sign * grid[i + 1]))
     else:
-        result.update(refine(probe, edge, direction))
-    return result
+        if not any(flags):
+            raise NonMonotoneRegion(
+                f"no grid point holds; nothing to bracket along {spec.sweep}"
+            )
+        # Every grid point holds.  Probe between the grid edge and the
+        # valid-range bound: any boundary representable within the denominator
+        # limit lies at least 1/(max_denominator * bound.denominator) inside
+        # the bound, so one probe either brackets it or rules it out.
+        toward = family.fail_toward.get(spec.sweep)
+        if toward is None:
+            raise NonMonotoneRegion(
+                f"every grid point holds and family {family.name!r} declares no "
+                f"fail direction for {spec.sweep!r}; widen the grid"
+            )
+        rng = family.ranges[spec.sweep]
+        sign = 1 if toward == "high" else -1
+        # The range end toward higher u, in u.
+        bound, closed = max((sign * rng.lo, rng.lo_closed), (sign * rng.hi, rng.hi_closed))
+        if closed and holds(sign * bound):
+            return report(bound, True, True, "range-cap")
+        edge = max(sign * v for v in grid)
+        probe = bound - Fraction(1, 2 * max_denominator * bound.denominator)
+        if probe <= edge:
+            probe = (edge + bound) / 2
+        if holds(sign * probe):
+            # No failing point with denominator <= max_denominator short of
+            # the bound: the holds-region runs up to the (open) range bound.
+            return report(bound, False, True, "range-cap")
+        lo, hi = edge, probe
+
+    # Invariant: lo holds, hi fails.  Shrink until [lo, hi] contains at most
+    # one rational with denominator <= max_denominator (two distinct p/q,
+    # r/s differ by >= 1/(q*s)).
+    resolution = Fraction(1, 2 * max_denominator * max_denominator)
+    while hi - lo > resolution:
+        mid = (lo + hi) / 2
+        if holds(sign * mid):
+            lo = mid
+        else:
+            hi = mid
+    candidate = simplest_between(lo, hi)
+    exact = candidate.denominator <= max_denominator
+    if not exact:
+        candidate = lo
+    attained = holds(sign * candidate)
+    # Confirm with a fresh probe strictly on the side the candidate does not
+    # decide: toward hi (must fail) when it holds, toward lo (must hold) when not.
+    probe = (candidate + (hi if attained else lo)) / 2
+    if probe != candidate and holds(sign * probe) == attained:
+        raise NonMonotoneRegion(
+            f"holds-region is not monotone inside the bracket around {sign * candidate}"
+        )
+    return report(candidate, attained, exact, "refined")
 
 
 # ---------------------------------------------------------------------------
@@ -890,16 +875,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_agree(args: argparse.Namespace) -> int:
     summary = run_agreement(args.theorem, args.samples, args.seed)
-    lines = [json.dumps(record) for record in summary.disagreements]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-        sys.stdout.write(json.dumps(summary.to_json()) + "\n")
-    else:
-        sys.stdout.write(json.dumps(summary.to_json()) + "\n")
-        for line in lines:
-            sys.stdout.write(line + "\n")
+    sys.stdout.write(json.dumps(summary.to_json()) + "\n")
+    _emit("".join(json.dumps(record) + "\n" for record in summary.disagreements), args.out)
     return 0
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "EQUAL",
     "difference",
     "crossing_profile",
-    "decide_cumulative",
     "decide_lemma",
     "decide",
     "verdict_to_json",
@@ -349,6 +348,11 @@ def verdict_to_json(verdict: Verdict, diagnose: bool = False) -> dict:
 
 
 def _cumulative_verdict(d: DiffFunction) -> Verdict:
+    """Ground-truth path: A precedes B iff G(1) = 0 and max G <= 0.
+
+    Fails with a LinearWitness when the barycenters differ, otherwise
+    with the hinge at the (smallest) maximizer of G.
+    """
     if d.is_zero():
         return Verdict(EQUAL)
     g_end = d.g_end()
@@ -360,15 +364,6 @@ def _cumulative_verdict(d: DiffFunction) -> Verdict:
     if g_max <= 0:
         return Verdict(HOLDS)
     return Verdict(FAILS, HingeWitness(s_star, g_max))
-
-
-def decide_cumulative(a: Functional, b: Functional) -> Verdict:
-    """Ground-truth path: A precedes B iff G(1) = 0 and max G <= 0.
-
-    Fails with a LinearWitness when the barycenters differ, otherwise
-    with the hinge at the (smallest) maximizer of G.
-    """
-    return _cumulative_verdict(difference(a, b))
 
 
 def _lemma_verdict(profile: CrossingProfile) -> Verdict:

@@ -24,7 +24,6 @@ from quadorder import (
     check_params,
     crossing_profile,
     decide,
-    decide_cumulative,
     decide_lemma,
     difference,
     functional_pair,
@@ -138,7 +137,7 @@ def test_criterion_6_path_agreement():
     while pairs < 1000:
         a, b = equal_mean_pair(rng)
         pairs += 1
-        cumulative = decide_cumulative(a, b)
+        cumulative = decide(a, b)
         report_ab = oracle_decide(a, b, refine_grid(a, b))
         oracle_clean = report_ab.max_violation == 0
         if cumulative.outcome == EQUAL:

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from quadorder import FAILS, Verdict, functional_pair, ordering, params_from_json
+from quadorder import FAILS, Verdict, cli, functional_pair, ordering, params_from_json
 from quadorder.cli import (
     FAMILIES,
     MAX_GRID_POINTS,
+    Family,
+    Range,
     ScanSpec,
     _case_label,
+    _make_scan_spec,
     eval_rational_expr,
     main,
+    run_threshold,
     simplest_between,
 )
 
@@ -159,6 +164,15 @@ def test_check_bad_inputs_exit_2(capsys):
         # 5 * 10**8 + 1 grid points
         ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000"],
         ["threshold", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000"],
+        # the bisection's decide count grows with the digits of the limit
+        [
+            "threshold", "--family", "twoVsThree", "--sweep", "alpha=11/20:19/20:1/20",
+            "--max-denominator", str(10**31),
+        ],
+        [
+            "threshold", "--family", "twoVsThree", "--sweep", "alpha=11/20:19/20:1/20",
+            "--max-denominator", str(10**3000),
+        ],
     ],
 )
 def test_malformed_input_is_a_one_line_error(capsys, argv):
@@ -299,6 +313,51 @@ def test_threshold_rejects_out_of_range_grid(capsys):
     )
     assert code == 2
     assert "outside the valid range" in err
+
+
+def test_threshold_range_cap_attained_at_a_closed_bound():
+    # No named family closes the range bound on its fail side.
+    endpoint4 = FAMILIES["endpoint4"]
+    family = dataclasses.replace(
+        endpoint4, ranges={**endpoint4.ranges, "alpha": Range(F(1, 2), F(1), lo_closed=True)}
+    )
+    result = run_threshold(_make_scan_spec(family, "alpha=3/5:19/20:1/20", ["a=1/4"]))
+    assert result["threshold"] == "1/2"
+    assert result["attained"] is True
+    assert result["basis"] == "range-cap"
+    assert result["direction"] == "holds_above"
+
+
+def test_threshold_decide_count(monkeypatch):
+    calls = []
+    decide = cli.decide
+    monkeypatch.setattr(cli, "decide", lambda a, b: calls.append(1) or decide(a, b))
+    spec = _make_scan_spec(
+        FAMILIES["twoVsThree"], "alpha=11/20:19/20:1/20", ["b1=1/3", "b2=1/3", "b3=1/3"]
+    )
+    assert run_threshold(spec)["threshold"] == "5/6"
+    # 9 grid points, 37 halvings of a 1/20 bracket down to 1/(2 * 10**12),
+    # the candidate, and one confirming probe.
+    assert len(calls) == 48
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the boundary is irrational; the stop rule cannot tell it from a rational "
+    "with denominator <= max_denominator (ROADMAP item 3)",
+)
+def test_threshold_irrational_boundary_is_not_exact():
+    # Reported today as 194544/564719 with exact: true, yet decide already
+    # fails 10**-14 below that value.
+    family = Family(
+        name="irrational",
+        lhs={"atoms": [{"t": "0", "w": "41/130"}, {"t": "3/10", "w": "3/13"},
+                       {"t": "9/10", "w": "3/13"}, {"t": "1", "w": "29/130"}]},
+        rhs={"atoms": [{"t": "0", "w": "(1-p)/2"}, {"t": "1", "w": "(1-p)/2"}], "uniform": "p"},
+        ranges={"p": Range(F(0), F(1), lo_closed=True, hi_closed=True)},
+    )
+    result = run_threshold(_make_scan_spec(family, "p=0:1:1/20", []))
+    assert result["exact"] is not True
 
 
 # ---------------------------------------------------------------------------

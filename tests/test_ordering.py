@@ -24,7 +24,6 @@ from quadorder import (
     barycenter,
     crossing_profile,
     decide,
-    decide_cumulative,
     decide_lemma,
     difference,
     make_functional,
@@ -171,34 +170,34 @@ def test_profile_signed_areas_telescope_to_g_end(seed):
 
 
 # ---------------------------------------------------------------------------
-# decide_cumulative
+# decide: the cumulative path
 # ---------------------------------------------------------------------------
 
 
 def test_cumulative_classic_holds():
-    assert decide_cumulative(MIDPOINT, UNIFORM).outcome == HOLDS
-    assert decide_cumulative(UNIFORM, TRAPEZOID).outcome == HOLDS
+    assert decide(MIDPOINT, UNIFORM).outcome == HOLDS
+    assert decide(UNIFORM, TRAPEZOID).outcome == HOLDS
 
 
 def test_cumulative_reversal_gives_hinge_witness():
-    v = decide_cumulative(UNIFORM, MIDPOINT)
+    v = decide(UNIFORM, MIDPOINT)
     assert v.outcome == FAILS
     assert v.witness == HingeWitness(F(1, 2), F(1, 8))
 
 
 def test_cumulative_two_near_edges_witness():
-    v = decide_cumulative(TWO_NEAR_EDGES, UNIFORM)
+    v = decide(TWO_NEAR_EDGES, UNIFORM)
     assert v.outcome == FAILS
     assert v.witness == HingeWitness(F(1, 2), F(3, 40))
 
 
 def test_cumulative_mean_mismatch_gives_linear_witness():
     heavy_left = make_functional([(0, F(1, 2)), (F(1, 2), F(1, 2))])
-    v = decide_cumulative(UNIFORM, heavy_left)
+    v = decide(UNIFORM, heavy_left)
     assert v.outcome == FAILS
     assert v.witness == LinearWitness(1)
     assert verify_witness(UNIFORM, heavy_left, v)
-    v = decide_cumulative(heavy_left, UNIFORM)
+    v = decide(heavy_left, UNIFORM)
     assert v.witness == LinearWitness(-1)
     assert verify_witness(heavy_left, UNIFORM, v)
 

@@ -16,7 +16,6 @@ from quadorder import (
     UNIFORM,
     crossing_profile,
     decide,
-    decide_cumulative,
     decide_lemma,
     difference,
     evaluate,
@@ -37,7 +36,7 @@ def test_paths_agree_on_equal_mean_pairs():
     degenerate = 0
     for _ in range(400):
         a, b = equal_mean_pair(rng)
-        cumulative = decide_cumulative(a, b)
+        cumulative = decide(a, b)
         if cumulative.outcome == EQUAL:
             degenerate += 1
             continue
