@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
 from typing import Callable, Optional, Sequence
 
 from .functionals import (
@@ -68,7 +67,6 @@ __all__ = [
     "FAMILIES",
     "THEOREM_IDS",
     "eval_rational_expr",
-    "simplest_between",
     "run_threshold",
     "run_scan",
     "run_agreement",
@@ -391,7 +389,7 @@ def _load_json_or_file(text: str) -> object:
             raise CLIError(f"cannot read {text!r}: {exc}") from None
     try:
         return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CLIError(f"bad JSON in {text!r}: {exc}") from None
 
 
@@ -400,12 +398,15 @@ _TEMPLATE_DEPTH = 3
 
 
 def _instantiate_template(obj: object, env: dict[str, Fraction]) -> Functional:
-    """Evaluate every scalar of the template as an expression in env;
-    functional_from_json then checks the shape."""
+    """Evaluate string scalars as expressions in env, coerce the rest with
+    as_fraction (floats refused, as in check); functional_from_json then
+    checks the shape."""
 
     def resolve(node: object, depth: int) -> object:
-        if not isinstance(node, (dict, list)):
+        if type(node) is str:
             return eval_rational_expr(node, env)
+        if not isinstance(node, (dict, list)):
+            return as_fraction(node)
         if depth == _TEMPLATE_DEPTH:
             raise CLIError("template nests deeper than the fields of a functional")
         if isinstance(node, dict):
@@ -437,25 +438,6 @@ def _resolve_family(args: argparse.Namespace) -> Family:
 # ---------------------------------------------------------------------------
 
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational in the closed interval [lo, hi]
-    (ties broken toward zero), found by continued-fraction descent."""
-    if lo > hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    if lo == hi:
-        return lo
-    if lo <= 0 <= hi:
-        return ZERO
-    if hi < 0:
-        return -simplest_between(-hi, -lo)
-    n = ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    f = floor(lo)
-    sub = simplest_between(1 / (hi - f), 1 / (lo - f))
-    return f + 1 / sub
-
-
 # The bisection runs to a resolution of 1/(2 * max_denominator**2), so its
 # decide count grows with the digits of the limit: at this cap a named-family
 # threshold takes about 210 decides.
@@ -471,8 +453,9 @@ def run_threshold(
     between the grid edge and the valid-range bound when every grid
     point holds), then refines the bracket by rational bisection until
     at most one rational with denominator <= max_denominator fits,
-    takes that rational, and confirms it against one fresh probe on the
-    side its own verdict does not decide.
+    takes it (the midpoint's best approximation within the limit) and
+    confirms it against one fresh probe on the side its own verdict does
+    not decide; when none fits, the holds end is reported inexact.
 
     The search runs in u = sign * v, where sign is +1 when the holds-region
     lies below the switch and -1 when it lies above, so the holds side is
@@ -563,10 +546,11 @@ def run_threshold(
             lo = mid
         else:
             hi = mid
-    candidate = simplest_between(lo, hi)
-    exact = candidate.denominator <= max_denominator
-    if not exact:
-        candidate = lo
+    # A rational that fits is the midpoint's closest one within the limit;
+    # when none fits, both ends are already decided.
+    candidate = ((lo + hi) / 2).limit_denominator(max_denominator)
+    if not lo <= candidate <= hi:
+        return report(lo, True, False, "refined")
     attained = holds(sign * candidate)
     # Confirm with a fresh probe strictly on the side the candidate does not
     # decide: toward hi (must fail) when it holds, toward lo (must hold) when not.
@@ -575,7 +559,7 @@ def run_threshold(
         raise NonMonotoneRegion(
             f"holds-region is not monotone inside the bracket around {sign * candidate}"
         )
-    return report(candidate, attained, exact, "refined")
+    return report(candidate, attained, True, "refined")
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def as_fraction(value: Rational) -> Fraction:
     """Coerce an int, string, or Fraction to an exact Fraction.
 
     Floats are deliberately rejected: Fraction(0.9) is not 9/10.
-    Strings accept "p/q", "p", and exact decimals like "0.9".
+    Strings accept "p/q", "p", and exact decimals like "0.9"; exponent
+    notation is refused, since "1e-300000" would build 10**300000.
     """
     if isinstance(value, Fraction):
         return value
@@ -85,6 +86,8 @@ def as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise FunctionalError(f"cannot parse rational {value!r}: no exponent notation")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -69,8 +69,7 @@ def oracle_decide(
 ) -> OracleReport:
     """Worst violation of A(f) <= B(f) over hinges on the grid plus the
     linear maps t and -t (barycenter check) and the square t^2."""
-    grid = sorted(as_fraction(s) for s in s_grid)
-    grid = [s for i, s in enumerate(grid) if i == 0 or s != grid[i - 1]]
+    grid = sorted({as_fraction(s) for s in s_grid})
     if not grid:
         raise ValueError("s_grid must be nonempty")
     if grid[0] < 0 or grid[-1] > 1:
@@ -108,7 +107,7 @@ def refine_grid(a: Functional, b: Functional) -> list[Fraction]:
     where M(s) is the atom mass strictly above s; its maximum over a
     segment sits at an endpoint or at that vertex.
     """
-    points = _merged_positions(a, b)
+    points = sorted({ZERO, ONE, *a.positions(), *b.positions()})
     grid = list(points)
     du = b.uniform_weight - a.uniform_weight
     if du != 0:
@@ -124,10 +123,4 @@ def refine_grid(a: Functional, b: Functional) -> list[Fraction]:
             vertex = ONE + mass_gap / du
             if left <= vertex <= right:
                 grid.append(vertex)
-    grid.sort()
-    return [s for i, s in enumerate(grid) if i == 0 or s != grid[i - 1]]
-
-
-def _merged_positions(a: Functional, b: Functional) -> list[Fraction]:
-    merged = sorted([ZERO, ONE, *a.positions(), *b.positions()])
-    return [p for i, p in enumerate(merged) if i == 0 or p != merged[i - 1]]
+    return sorted(set(grid))

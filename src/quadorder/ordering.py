@@ -20,8 +20,11 @@ exactly the reported amount, or a linear map when the barycenters differ.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Union
 
 from .functionals import (
@@ -146,47 +149,30 @@ class DiffFunction:
         return best_s, best
 
 
-def merged_breakpoints(a: Functional, b: Functional) -> list[Fraction]:
-    """Sorted union of {0, 1} and both atom position lists (no hashing;
-    atom positions are already sorted)."""
-    pa, pb = a.positions(), b.positions()
-    points: list[Fraction] = [ZERO]
-    i = j = 0
-    while i < len(pa) or j < len(pb):
-        if j >= len(pb) or (i < len(pa) and pa[i] <= pb[j]):
-            p = pa[i]
-            i += 1
-        else:
-            p = pb[j]
-            j += 1
-        if p != points[-1]:
-            points.append(p)
-    if points[-1] != ONE:
-        points.append(ONE)
-    return points
-
-
 def difference(a: Functional, b: Functional) -> DiffFunction:
     """Exact D = F_a - F_b and G on the merged breakpoint set.
 
     Both distribution functions have slope equal to their uniform weight
-    everywhere, so D is built directly: at each merged breakpoint the
-    value is the accumulated atom-mass difference plus the slope term.
+    everywhere, so D is built in one walk over the signed atoms (+w from
+    a, -w from b) merged by position: a breakpoint's value, the atom-mass
+    difference so far plus the slope term, closes at the next position.
     """
-    points = merged_breakpoints(a, b)
     slope = a.uniform_weight - b.uniform_weight
-    values = []
+    signed = heapq.merge(
+        ((atom.position, atom.weight) for atom in a.atoms),
+        ((atom.position, -atom.weight) for atom in b.atoms),
+        key=itemgetter(0),
+    )
+    points, values = [ZERO], []
     acc = ZERO
-    i = j = 0
-    atoms_a, atoms_b = a.atoms, b.atoms
-    for p in points:
-        while i < len(atoms_a) and atoms_a[i].position == p:
-            acc += atoms_a[i].weight
-            i += 1
-        while j < len(atoms_b) and atoms_b[j].position == p:
-            acc -= atoms_b[j].weight
-            j += 1
-        values.append(acc + slope * p if slope else acc)
+    # The sentinel after the merge, not inside it, keeps the heap at two
+    # streams; a breakpoint already at 1 just absorbs its zero weight.
+    for t, w in chain(signed, [(ONE, ZERO)]):
+        if t != points[-1]:
+            values.append(acc + slope * points[-1] if slope else acc)
+            points.append(t)
+        acc += w
+    values.append(acc + slope)
     cumulative = [ZERO]
     g = ZERO
     for k, left in enumerate(points[:-1]):

@@ -11,8 +11,10 @@ from __future__ import annotations
 import bisect
 import random
 from fractions import Fraction
+from math import ceil, floor
 
 from quadorder import DiffFunction, Functional, barycenter, make_functional
+from quadorder.functionals import ONE, ZERO
 
 # The unit atom at 1.  Its distribution function is 0 on [0, 1), so
 # difference(f, UNIT_AT_ONE) equals F_f on [0, 1).
@@ -56,6 +58,63 @@ def reference_refine_grid(a: Functional, b: Functional) -> list[Fraction]:
             if left <= vertex <= right:
                 grid.add(vertex)
     return sorted(grid)
+
+
+def reference_difference(a: Functional, b: Functional) -> DiffFunction:
+    """D = F_a - F_b and G built in two walks: first the sorted union of
+    {0, 1} and both atom position lists, then the atom-mass difference
+    accumulated at each merged breakpoint."""
+    pa, pb = a.positions(), b.positions()
+    points: list[Fraction] = [ZERO]
+    i = j = 0
+    while i < len(pa) or j < len(pb):
+        if j >= len(pb) or (i < len(pa) and pa[i] <= pb[j]):
+            p = pa[i]
+            i += 1
+        else:
+            p = pb[j]
+            j += 1
+        if p != points[-1]:
+            points.append(p)
+    if points[-1] != ONE:
+        points.append(ONE)
+    slope = a.uniform_weight - b.uniform_weight
+    values = []
+    acc = ZERO
+    i = j = 0
+    for p in points:
+        while i < len(a.atoms) and a.atoms[i].position == p:
+            acc += a.atoms[i].weight
+            i += 1
+        while j < len(b.atoms) and b.atoms[j].position == p:
+            acc -= b.atoms[j].weight
+            j += 1
+        values.append(acc + slope * p)
+    cumulative = [ZERO]
+    for k, left in enumerate(points[:-1]):
+        dx = points[k + 1] - left
+        cumulative.append(cumulative[-1] + values[k] * dx + slope * dx * dx / 2)
+    return DiffFunction(tuple(points), tuple(values), slope, tuple(cumulative))
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The smallest-denominator rational in the closed interval [lo, hi]
+    (ties broken toward zero), found by continued-fraction descent."""
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    if lo == hi:
+        return lo
+    if lo <= 0 <= hi:
+        return ZERO
+    if hi < 0:
+        return -simplest_between(-hi, -lo)
+    n = ceil(lo)
+    if n <= hi:
+        return Fraction(n)
+    f = floor(lo)
+    sub = simplest_between(1 / (hi - f), 1 / (lo - f))
+    return f + 1 / sub
+
 
 DENOMINATORS = (8, 9, 10, 12, 15, 16, 20, 24, 30, 32, 40, 60)
 

@@ -21,8 +21,8 @@ from quadorder.cli import (
     eval_rational_expr,
     main,
     run_threshold,
-    simplest_between,
 )
+from helpers import simplest_between
 
 
 def run(capsys, *argv):
@@ -173,6 +173,27 @@ def test_check_bad_inputs_exit_2(capsys):
             "threshold", "--family", "twoVsThree", "--sweep", "alpha=11/20:19/20:1/20",
             "--max-denominator", str(10**3000),
         ],
+        # floats in a template are refused, as check refuses them
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": [{"t": 0.1, "w": 1}]}',
+            "--rhs", '{"atoms": [{"t": "1/10", "w": 1}]}',
+        ],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": [{"t": "p", "w": 1.0}]}',
+            "--rhs", '{"atoms": [{"t": "p", "w": "1"}]}',
+        ],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": [], "uniform": 1.0}',
+            "--rhs", '{"atoms": [], "uniform": "1"}',
+        ],
+        # exponent notation would build 10**300000 before answering
+        ["check", '{"atoms": [{"t": "1e-300000", "w": "1"}]}', "uniform"],
+        ["check", '{"atoms": [{"t": "1/2", "w": "1e300000"}]}', "uniform"],
+        # a JSON integer beyond the interpreter's digit limit
+        ["check", '{"atoms": [{"t": 1' + "0" * 5000 + ', "w": "1"}]}', "uniform"],
     ],
 )
 def test_malformed_input_is_a_one_line_error(capsys, argv):
@@ -339,6 +360,30 @@ def test_threshold_decide_count(monkeypatch):
     # 9 grid points, 37 halvings of a 1/20 bracket down to 1/(2 * 10**12),
     # the candidate, and one confirming probe.
     assert len(calls) == 48
+    calls.clear()
+    spec = _make_scan_spec(FAMILIES["endpoint4"], "a=1/40:19/40:1/40", ["alpha=4/5"])
+    result = run_threshold(spec, max_denominator=3)
+    assert (result["threshold"], result["exact"]) == ("1/10", False)
+    # 19 grid points and no halving: a 1/40 bracket is already below
+    # 1/(2 * 3**2), and no rational with denominator <= 3 fits in it.
+    assert len(calls) == 19
+
+
+def test_threshold_inexact_candidate_reports_the_holds_end(capsys):
+    # No rational with denominator <= 5 lies in the final bracket; a probe
+    # inside it used to land on either side and refuse a monotone family.
+    code, out, err = run(
+        capsys,
+        "threshold",
+        "--family", "symmetric3",
+        "--sweep", "alpha=3/4:171/200:21/1000",
+        "--fix", "a=3/10",
+        "--max-denominator", "5",
+    )
+    assert (code, err) == (0, "")
+    blob = json.loads(out)
+    assert blob["threshold"] == "1689/2000"
+    assert (blob["attained"], blob["exact"], blob["basis"]) == (True, False, "refined")
 
 
 @pytest.mark.xfail(
@@ -581,3 +626,25 @@ def test_simplest_between():
     assert simplest_between(F(5, 2), F(7, 2)) == 3
     assert simplest_between(F(26, 100), F(49, 100)) == F(1, 3)
     assert simplest_between(F(-1, 2), F(-1, 3)) == F(-1, 2)
+
+
+def test_limit_denominator_names_the_one_rational_in_a_narrow_bracket():
+    # A bracket at most 1/(2 D^2) wide holds at most one rational with
+    # denominator <= D; run_threshold takes it as the midpoint's best
+    # approximation within D.
+    rng = random.Random(11)
+    for _ in range(3000):
+        limit = rng.choice([1, 2, 3, 5, 10**6, 10**30, rng.randint(1, 10 ** rng.randint(1, 30))])
+        width = F(rng.randint(1, 1000), 1000 * 2 * limit * limit)
+        if rng.random() < 0.5:
+            # near a rational within the limit, inside or just outside
+            near = F(rng.randint(-3 * limit, 3 * limit), rng.randint(1, limit))
+            lo = near - width * F(rng.randint(-200, 1200), 1000)
+        else:
+            lo = F(rng.randint(-(10**40), 10**40), 10**40 + rng.randint(0, 10**9))
+        hi = lo + width
+        candidate = ((lo + hi) / 2).limit_denominator(limit)
+        reference = simplest_between(lo, hi)
+        assert (lo <= candidate <= hi) == (reference.denominator <= limit)
+        if reference.denominator <= limit:
+            assert candidate == reference

@@ -30,7 +30,14 @@ from quadorder import (
     verify_witness,
 )
 from quadorder import ordering
-from helpers import d_value, equal_mean_pair, rand_functional
+from helpers import (
+    UNIT_AT_ONE,
+    d_value,
+    equal_mean_pair,
+    mix,
+    rand_functional,
+    reference_difference,
+)
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -69,6 +76,19 @@ def test_difference_uniform_vs_trapezoid():
     assert d.g_end() == 0
     _, g_max = d.max_g()
     assert g_max <= 0
+
+
+def test_difference_matches_the_two_walk_reference():
+    rng = random.Random(17)
+    unit_at_zero = make_functional([(0, 1)])
+    pairs = [(f, g) for f in (UNIFORM, SIMPSON, TRAPEZOID, UNIT_AT_ONE, unit_at_zero)
+             for g in (UNIFORM, SIMPSON, TRAPEZOID, UNIT_AT_ONE, unit_at_zero)]
+    for _ in range(200):
+        a, c = rand_functional(rng), rand_functional(rng)
+        # mix(a, c, 1/3) shares every atom position of a
+        pairs += [(a, c), (a, a), (a, UNIFORM), (UNIFORM, a), (a, mix(a, c, F(1, 3)))]
+    for a, b in pairs:
+        assert difference(a, b) == reference_difference(a, b)
 
 
 def test_g_end_is_barycenter_gap():
