@@ -14,7 +14,6 @@ from .functionals import (
     NegativeWeightError,
     PRESETS,
     SIMPSON,
-    Square,
     TRAPEZOID,
     UNIFORM,
     UnsupportedTestFunction,

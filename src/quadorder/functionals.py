@@ -27,7 +27,6 @@ __all__ = [
     "Rational",
     "as_fraction",
     "Hinge",
-    "Square",
     "Linear",
     "TestFunction",
     "Atom",
@@ -124,17 +123,6 @@ class Hinge:
 
 
 @dataclass(frozen=True)
-class Square:
-    """f(t) = t^2; uniform mean 1/3."""
-
-    def __call__(self, t: Fraction) -> Fraction:
-        return t * t
-
-    def uniform_mean(self) -> Fraction:
-        return Fraction(1, 3)
-
-
-@dataclass(frozen=True)
 class Linear:
     """f(t) = slope*t + intercept; uniform mean slope/2 + intercept."""
 
@@ -148,8 +136,8 @@ class Linear:
         return self.slope / 2 + self.intercept
 
 
-TestFunction = Union[Hinge, Square, Linear]
-_TEST_FAMILY = (Hinge, Square, Linear)
+TestFunction = Union[Hinge, Linear]
+_TEST_FAMILY = (Hinge, Linear)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def evaluate(func: Functional, f: TestFunction) -> Fraction:
     """Apply the functional to a built-in test function, exactly."""
     if not isinstance(f, _TEST_FAMILY):
         raise UnsupportedTestFunction(
-            f"{f!r} is not in the built-in test family (hinge/square/linear)"
+            f"{f!r} is not in the built-in test family (hinge/linear)"
         )
     total = sum((a.weight * f(a.position) for a in func.atoms), start=ZERO)
     return total + func.uniform_weight * f.uniform_mean()

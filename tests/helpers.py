@@ -12,8 +12,18 @@ import bisect
 import random
 from fractions import Fraction
 from math import ceil, floor
+from typing import Iterable, Optional
 
-from quadorder import DiffFunction, Functional, barycenter, make_functional
+from quadorder import (
+    DiffFunction,
+    Functional,
+    Linear,
+    OracleReport,
+    as_fraction,
+    barycenter,
+    evaluate,
+    make_functional,
+)
 from quadorder.functionals import ONE, ZERO
 
 # The unit atom at 1.  Its distribution function is 0 on [0, 1), so
@@ -58,6 +68,54 @@ def reference_refine_grid(a: Functional, b: Functional) -> list[Fraction]:
             if left <= vertex <= right:
                 grid.add(vertex)
     return sorted(grid)
+
+
+def second_moment(func: Functional) -> Fraction:
+    """The functional applied to f(t) = t^2: sum w_i t_i^2 + uniform/3."""
+    atoms = sum((atom.weight * atom.position**2 for atom in func.atoms), start=ZERO)
+    return atoms + func.uniform_weight / 3
+
+
+def reference_oracle_decide(
+    a: Functional, b: Functional, s_grid: Iterable[Fraction]
+) -> OracleReport:
+    """The oracle on Fractions: suffix tables of mass and first moment
+    over the atoms, bisect for each grid point, and the barycenter check
+    through evaluate on f(t) = t and f(t) = -t."""
+
+    def hinge_table(func: Functional) -> tuple[list, list, list]:
+        positions = [atom.position for atom in func.atoms]
+        mass = [ZERO] * (len(positions) + 1)
+        moment = [ZERO] * (len(positions) + 1)
+        for i in range(len(positions) - 1, -1, -1):
+            atom = func.atoms[i]
+            mass[i] = mass[i + 1] + atom.weight
+            moment[i] = moment[i + 1] + atom.weight * atom.position
+        return positions, mass, moment
+
+    grid = sorted({as_fraction(s) for s in s_grid})
+    if not grid:
+        raise ValueError("s_grid must be nonempty")
+    if grid[0] < 0 or grid[-1] > 1:
+        raise ValueError("s_grid values must lie in [0, 1]")
+    pos_a, mass_a, mom_a = hinge_table(a)
+    pos_b, mass_b, mom_b = hinge_table(b)
+    du = a.uniform_weight - b.uniform_weight
+    max_violation = ZERO
+    worst_s: Optional[Fraction] = None
+    for s in grid:
+        i = bisect.bisect_right(pos_a, s)
+        j = bisect.bisect_right(pos_b, s)
+        gap = (mom_a[i] - mom_b[j]) - s * (mass_a[i] - mass_b[j])
+        if du:
+            gap += du * (ONE - s) ** 2 / 2
+        if gap > max_violation:
+            max_violation, worst_s = gap, s
+    for f in (Linear(ONE), Linear(-ONE)):
+        gap = evaluate(a, f) - evaluate(b, f)
+        if gap > max_violation:
+            max_violation, worst_s = gap, None
+    return OracleReport(len(grid) + 2, max_violation, worst_s)
 
 
 def reference_difference(a: Functional, b: Functional) -> DiffFunction:

@@ -18,7 +18,6 @@ from quadorder import (
     MassError,
     NegativeWeightError,
     SIMPSON,
-    Square,
     TRAPEZOID,
     UNIFORM,
     UnsupportedTestFunction,
@@ -31,7 +30,7 @@ from quadorder import (
     functional_to_json,
     make_functional,
 )
-from helpers import UNIT_AT_ONE, d_left_limit, d_value, mix, rand_functional
+from helpers import UNIT_AT_ONE, d_left_limit, d_value, mix, rand_functional, second_moment
 import random
 
 
@@ -174,10 +173,10 @@ def test_evaluate_hinge():
     assert evaluate(TRAPEZOID, Hinge(F(1, 2))) == F(1, 4)
 
 
-def test_evaluate_square_simpson_exact():
+def test_simpson_integrates_the_square_exactly():
     # Simpson integrates t^2 exactly: 1/6*0 + 2/3*(1/4) + 1/6*1 = 1/3
-    assert evaluate(SIMPSON, Square()) == F(1, 3)
-    assert evaluate(UNIFORM, Square()) == F(1, 3)
+    assert second_moment(SIMPSON) == F(1, 3)
+    assert second_moment(UNIFORM) == F(1, 3)
 
 
 def test_evaluate_rejects_unknown_functions():
@@ -268,10 +267,11 @@ def test_evaluate_is_affine_in_the_functional(seed, sixteenths):
     f, g = rand_functional(rng), rand_functional(rng)
     lam = F(sixteenths, 16)
     blend = mix(f, g, lam)
-    for test_fn in (Hinge(F(1, 3)), Square(), Linear()):
+    for test_fn in (Hinge(F(1, 3)), Linear()):
         assert evaluate(blend, test_fn) == lam * evaluate(f, test_fn) + (
             1 - lam
         ) * evaluate(g, test_fn)
+    assert second_moment(blend) == lam * second_moment(f) + (1 - lam) * second_moment(g)
 
 
 @given(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 30)), min_size=1, max_size=5))

@@ -2,21 +2,33 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import quadorder.oracle
 from quadorder import (
     HingeWitness,
     MIDPOINT,
+    SIMPSON,
+    TRAPEZOID,
     UNIFORM,
     decide,
+    functional_pair,
     make_functional,
     oracle_decide,
     refine_grid,
 )
-from helpers import equal_mean_pair, rand_functional, reference_refine_grid
+from quadorder.cli import _SAMPLERS
+from helpers import (
+    equal_mean_pair,
+    rand_functional,
+    reference_oracle_decide,
+    reference_refine_grid,
+)
 
 TWO_NEAR_EDGES = make_functional([(F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))])
 
@@ -26,7 +38,7 @@ def test_midpoint_vs_uniform_clean_on_dense_grid():
     report = oracle_decide(MIDPOINT, UNIFORM, grid)
     assert report.max_violation == 0
     assert report.worst_s is None
-    assert report.tested_functions == 104
+    assert report.tested_functions == 103
 
 
 def test_two_near_edges_worst_hinge():
@@ -38,7 +50,6 @@ def test_two_near_edges_worst_hinge():
 def test_equal_pair_reports_zero():
     report = oracle_decide(TWO_NEAR_EDGES, TWO_NEAR_EDGES, [F(0), F(1, 3), F(1)])
     assert report.max_violation == 0
-    assert report.square_gap == 0
 
 
 def test_empty_or_out_of_range_grid_rejected():
@@ -112,10 +123,111 @@ def test_oracle_flags_mean_mismatch_via_linear_maps():
     assert report.worst_s == F(0)
 
 
-def test_square_gap_never_fires_alone_on_refined_grid():
-    rng = random.Random(29)
-    for _ in range(300):
-        a, b = rand_functional(rng), rand_functional(rng)
-        report = oracle_decide(a, b, refine_grid(a, b))
-        if report.square_gap > 0:
-            assert report.max_violation > 0
+def test_oracle_imports_nothing_from_the_engine_it_checks():
+    tree = ast.parse(Path(quadorder.oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported, "the import scan found nothing"
+    assert not [name for name in imported if "ordering" in name.split(".")]
+
+
+def _first_primes_above(start: int, count: int) -> list[int]:
+    primes: list[int] = []
+    n = start
+    while len(primes) < count:
+        n += 1
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            primes.append(n)
+    return primes
+
+
+def _with_endpoint_atoms(rng: random.Random):
+    """A random functional that also carries atoms at 0 and at 1."""
+    inner = rand_functional(rng, min_atoms=1, max_atoms=4)
+    share = F(rng.randint(1, 6), 8)
+    atoms = [(0, share * F(rng.randint(1, 2), 4)), (1, share * F(rng.randint(1, 2), 4))]
+    rest = 1 - atoms[0][1] - atoms[1][1]
+    atoms += [(x.position, rest * x.weight) for x in inner.atoms]
+    return make_functional(atoms, rest * inner.uniform_weight)
+
+
+def _coprime_pair(rng: random.Random):
+    """Two functionals whose positions all have distinct prime
+    denominators near 10^5, so their common denominator is huge, each
+    with an optional uniform part."""
+    primes = _first_primes_above(10**5, 60)
+    rng.shuffle(primes)
+    sides = []
+    for dens in (primes[:30], primes[30:]):
+        uniform = rng.choice([F(0), F(1, 3), F(2, 7)])
+        raw = [rng.randint(1, 9) for _ in dens]
+        total = sum(raw)
+        atoms = [
+            (F(rng.randint(1, p - 1), p), F(r, total) * (1 - uniform))
+            for p, r in zip(dens, raw)
+        ]
+        sides.append(make_functional(atoms, uniform))
+    return sides
+
+
+# pairs drawn per family; the uniform-only and endpoint-atom families add
+# a few fixed pairs on top
+PAIR_COUNTS = {
+    "random": 500,
+    "equal-mean": 500,
+    **{name: 250 for name in _SAMPLERS},
+    "uniform-only": 200,
+    "endpoint-atoms": 100,
+    "coprime": 8,
+}
+
+
+def _pairs(rng: random.Random, family: str, count: int):
+    if family == "random":
+        return [(rand_functional(rng), rand_functional(rng)) for _ in range(count)]
+    if family == "equal-mean":
+        return [equal_mean_pair(rng) for _ in range(count)]
+    if family in _SAMPLERS:
+        return [functional_pair(_SAMPLERS[family](rng)) for _ in range(count)]
+    if family == "uniform-only":
+        pairs = [(UNIFORM, UNIFORM)]
+        for _ in range(count // 2):
+            pairs += [(UNIFORM, rand_functional(rng)), (rand_functional(rng), UNIFORM)]
+        return pairs
+    if family == "endpoint-atoms":
+        pairs = [(TRAPEZOID, SIMPSON), (SIMPSON, TRAPEZOID), (TRAPEZOID, UNIFORM)]
+        for _ in range(count):
+            other = rand_functional(rng) if rng.random() < 0.5 else _with_endpoint_atoms(rng)
+            pairs.append((_with_endpoint_atoms(rng), other))
+        return pairs
+    assert family == "coprime"
+    return [_coprime_pair(rng) for _ in range(count)]
+
+
+def _arbitrary_grid(rng: random.Random) -> list:
+    """Unsorted grid points in [0, 1], some repeated, some given as
+    ints or strings."""
+    den = rng.choice([2, 7, 10, 12, 60, 97, 100003])
+    grid: list = [F(rng.randint(0, den), den) for _ in range(rng.randint(1, 12))]
+    grid += rng.sample(grid, rng.randint(0, len(grid)))
+    grid += rng.choice([[], [0], [1], ["1/3"], [F(1, 2), F(1, 2)]])
+    rng.shuffle(grid)
+    return grid
+
+
+@pytest.mark.parametrize("family", sorted(PAIR_COUNTS))
+def test_integer_oracle_matches_the_fraction_reference(family):
+    rng = random.Random(f"oracle-{family}")
+    for a, b in _pairs(rng, family, PAIR_COUNTS[family]):
+        grid = refine_grid(a, b)
+        assert grid == reference_refine_grid(a, b)
+        for s_grid in (grid, _arbitrary_grid(rng)):
+            got = oracle_decide(a, b, s_grid)
+            want = reference_oracle_decide(a, b, s_grid)
+            assert (got.max_violation, got.worst_s) == (want.max_violation, want.worst_s)
+            assert got.tested_functions == want.tested_functions
