@@ -385,7 +385,7 @@ def _load_json_or_file(text: str) -> object:
         try:
             with open(text, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CLIError(f"cannot read {text!r}: {exc}") from None
     try:
         return json.loads(raw)
@@ -393,33 +393,14 @@ def _load_json_or_file(text: str) -> object:
         raise CLIError(f"bad JSON in {text!r}: {exc}") from None
 
 
-# A functional's scalars sit at most three levels down: {"atoms": [{"t": ...}]}.
-_TEMPLATE_DEPTH = 3
-
-
-def _instantiate_template(obj: object, env: dict[str, Fraction]) -> Functional:
-    """Evaluate string scalars as expressions in env, coerce the rest with
-    as_fraction (floats refused, as in check); functional_from_json then
-    checks the shape."""
-
-    def resolve(node: object, depth: int) -> object:
-        if type(node) is str:
-            return eval_rational_expr(node, env)
-        if not isinstance(node, (dict, list)):
-            return as_fraction(node)
-        if depth == _TEMPLATE_DEPTH:
-            raise CLIError("template nests deeper than the fields of a functional")
-        if isinstance(node, dict):
-            return {key: resolve(value, depth + 1) for key, value in node.items()}
-        return [resolve(value, depth + 1) for value in node]
-
-    return functional_from_json(resolve(obj, 0))
-
-
 def _build_side(side: object, params: dict[str, Fraction]) -> Functional:
+    """A preset, or a template whose string scalars are expressions in params;
+    other scalars are coerced with as_fraction (floats refused, as in check)."""
     if isinstance(side, str) and side in PRESETS:
         return PRESETS[side]
-    return _instantiate_template(side, params)
+    return functional_from_json(
+        side, lambda _, v: eval_rational_expr(v, params) if type(v) is str else as_fraction(v)
+    )
 
 
 def _resolve_family(args: argparse.Namespace) -> Family:
@@ -767,49 +748,36 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
 # ---------------------------------------------------------------------------
 
 
-def _rescale_positions(obj: object, interval: tuple[Fraction, Fraction]) -> object:
-    """Map atom positions from [x, y] to the canonical [0, 1].
-
-    Paper-convention pairs carry coefficients, not positions, and are
-    interval-free already.  Entries without a position are passed on
-    unchanged for functional_from_json to reject.
-    """
-    x, y = interval
-    atoms = obj.get("atoms") if isinstance(obj, dict) else None
-    if not isinstance(atoms, list):
-        return obj
-    width = y - x
-    rescaled = dict(obj)
-    rescaled["atoms"] = [
-        dict(entry, t=str((as_fraction(entry["t"]) - x) / width))
-        if isinstance(entry, dict) and "t" in entry
-        else entry
-        for entry in atoms
-    ]
-    return rescaled
-
-
 def _load_functional(
     text: str,
     paper_convention: bool,
     interval: Optional[tuple[Fraction, Fraction]],
 ) -> Functional:
+    """A preset, or functional JSON or a file of it.  With an interval [x, y]
+    each atom position t maps to (t - x)/(y - x); pairs need no mapping."""
     if text in PRESETS:
         return PRESETS[text]
     obj = _load_json_or_file(text)
     if paper_convention and not (isinstance(obj, dict) and "pairs" in obj):
         raise CLIError("--paper-convention expects {'pairs': [...]} input")
-    if interval is not None:
-        obj = _rescale_positions(obj, interval)
-    return functional_from_json(obj)
+    if interval is None:
+        return functional_from_json(obj)
+    x, y = interval
+    width = y - x
+    return functional_from_json(
+        obj, lambda field, value: (as_fraction(value) - x) / width if field == "t" else value
+    )
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CLIError(f"cannot write {out_path!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +827,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_agree(args: argparse.Namespace) -> int:
     summary = run_agreement(args.theorem, args.samples, args.seed)
-    sys.stdout.write(json.dumps(summary.to_json()) + "\n")
-    _emit("".join(json.dumps(record) + "\n" for record in summary.disagreements), args.out)
+    records = "".join(json.dumps(record) + "\n" for record in summary.disagreements)
+    # The --out file is written first, so a failed write leaves stdout empty.
+    if args.out:
+        _emit(records, args.out)
+        records = ""
+    sys.stdout.write(json.dumps(summary.to_json()) + "\n" + records)
     return 0
 
 

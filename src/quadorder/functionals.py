@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 __all__ = [
     "FunctionalError",
@@ -27,8 +27,6 @@ __all__ = [
     "Rational",
     "as_fraction",
     "Hinge",
-    "Linear",
-    "TestFunction",
     "Atom",
     "Functional",
     "make_functional",
@@ -68,7 +66,7 @@ class NegativeWeightError(FunctionalError):
 
 
 class UnsupportedTestFunction(FunctionalError):
-    """evaluate() was handed something outside the built-in test family."""
+    """evaluate() was handed something other than a hinge."""
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -97,9 +95,10 @@ def as_fraction(value: Rational) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Built-in test functions.  Hinges h_s(t) = max(t - s, 0) are the extreme
-# convex directions: together with +/- linear maps they decide the convex
-# order, and each has an exact closed-form uniform mean.
+# The test family.  Hinges h_s(t) = max(t - s, 0) are the extreme convex
+# directions: by the Levin-Steckin theorem they decide the convex order
+# together with +/- t, and on [0, 1] the map t is itself the hinge h_0.
+# Each hinge has an exact closed-form uniform mean.
 # ---------------------------------------------------------------------------
 
 
@@ -120,24 +119,6 @@ class Hinge:
 
     def uniform_mean(self) -> Fraction:
         return (ONE - self.s) ** 2 / 2
-
-
-@dataclass(frozen=True)
-class Linear:
-    """f(t) = slope*t + intercept; uniform mean slope/2 + intercept."""
-
-    slope: Fraction = ONE
-    intercept: Fraction = ZERO
-
-    def __call__(self, t: Fraction) -> Fraction:
-        return self.slope * t + self.intercept
-
-    def uniform_mean(self) -> Fraction:
-        return self.slope / 2 + self.intercept
-
-
-TestFunction = Union[Hinge, Linear]
-_TEST_FAMILY = (Hinge, Linear)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +207,10 @@ def barycenter(func: Functional) -> Fraction:
     )
 
 
-def evaluate(func: Functional, f: TestFunction) -> Fraction:
-    """Apply the functional to a built-in test function, exactly."""
-    if not isinstance(f, _TEST_FAMILY):
-        raise UnsupportedTestFunction(
-            f"{f!r} is not in the built-in test family (hinge/linear)"
-        )
+def evaluate(func: Functional, f: Hinge) -> Fraction:
+    """Apply the functional to a hinge, exactly."""
+    if not isinstance(f, Hinge):
+        raise UnsupportedTestFunction(f"{f!r} is not a hinge, the built-in test family")
     total = sum((a.weight * f(a.position) for a in func.atoms), start=ZERO)
     return total + func.uniform_weight * f.uniform_mean()
 
@@ -248,38 +227,58 @@ def functional_to_json(func: Functional) -> dict:
     }
 
 
-def _json_entries(obj: dict, key: str, fields: tuple[str, str]) -> list[tuple]:
-    """The (fields[0], fields[1]) values of every entry of obj[key], which
-    must be a list of objects carrying both fields."""
+# Reads one scalar of functional JSON: (field, value) -> value.
+ScalarMap = Callable[[str, object], object]
+
+
+def _as_given(field: str, value: object) -> object:
+    return value
+
+
+def _scalar(field: str, value: object, scalar: ScalarMap) -> object:
+    """scalar(field, value); a list or an object is refused by its type and
+    never printed, since it may nest too deep to print."""
+    if isinstance(value, (dict, list)):
+        raise FunctionalError(f"{field!r} must be a rational, got {type(value).__name__}")
+    return scalar(field, value)
+
+
+def _json_entries(obj: dict, key: str, fields: tuple[str, str], scalar: ScalarMap) -> list:
+    """The (fields[0], fields[1]) values, read through _scalar, of every
+    entry of obj[key], which must be a list of objects carrying both fields."""
     entries = obj[key]
     if not isinstance(entries, list):
         raise FunctionalError(f"'{key}' must be a list, got {type(entries).__name__}")
     out = []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise FunctionalError(f"each '{key}' entry must be an object, got {entry!r}")
+            name = type(entry).__name__
+            raise FunctionalError(f"each '{key}' entry must be an object, got {name}")
         for field in fields:
             if field not in entry:
-                raise FunctionalError(f"'{key}' entry {entry!r} has no {field!r} key")
-        out.append((entry[fields[0]], entry[fields[1]]))
+                raise FunctionalError(f"a '{key}' entry has no {field!r} key")
+        out.append([_scalar(field, entry[field], scalar) for field in fields])
     return out
 
 
-def functional_from_json(obj: object) -> Functional:
+def functional_from_json(obj: object, scalar: ScalarMap = _as_given) -> Functional:
     """Parse {"atoms": [{"t","w"},...], "uniform"} or the paper-convention
     form {"pairs": [{"alpha","a"},...], "uniform"}.
 
-    This is the one shape check for functional JSON: anything else raises
-    FunctionalError, never KeyError or TypeError."""
+    This is the one walk over functional JSON and its one shape check:
+    anything else raises FunctionalError, never KeyError or TypeError;
+    keys outside the shape are ignored.  Each scalar is read as
+    scalar(field, value), field being "t", "w", "a", "alpha" or "uniform"."""
     if not isinstance(obj, dict):
         raise FunctionalError(f"functional JSON must be an object, got {type(obj).__name__}")
-    uniform = obj.get("uniform", 0)
+    uniform = _scalar("uniform", obj.get("uniform", 0), scalar)
     if "atoms" in obj and "pairs" in obj:
         raise FunctionalError("functional JSON cannot carry both 'atoms' and 'pairs'")
     if "atoms" in obj:
-        return make_functional(_json_entries(obj, "atoms", ("t", "w")), uniform)
+        return make_functional(_json_entries(obj, "atoms", ("t", "w"), scalar), uniform)
     if "pairs" in obj:
-        return from_paper_convention(_json_entries(obj, "pairs", ("a", "alpha")), uniform)
+        pairs = _json_entries(obj, "pairs", ("a", "alpha"), scalar)
+        return from_paper_convention(pairs, uniform)
     raise FunctionalError("functional JSON needs an 'atoms' or 'pairs' key")
 
 

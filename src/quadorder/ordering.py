@@ -30,7 +30,6 @@ from typing import Optional, Union
 from .functionals import (
     Functional,
     Hinge,
-    Linear,
     ZERO,
     ONE,
     evaluate,
@@ -399,8 +398,9 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
     the verdict was produced.
 
     A hinge witness must reproduce its gap exactly; a linear witness
-    must separate the barycenters in the claimed direction.  Verdicts
-    without a witness verify iff they are not Fails.
+    must separate the barycenters, read through the hinge h_0(t) = t, in
+    the claimed direction.  Verdicts without a witness verify iff they
+    are not Fails.
     """
     if verdict.outcome != FAILS:
         return verdict.witness is None
@@ -409,8 +409,8 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
         h = Hinge(w.s)
         return w.gap > 0 and evaluate(a, h) - evaluate(b, h) == w.gap
     if isinstance(w, LinearWitness):
-        f = Linear(Fraction(w.direction))
-        return w.direction in (-1, 1) and evaluate(a, f) - evaluate(b, f) > 0
+        h = Hinge(ZERO)
+        return w.direction in (-1, 1) and w.direction * (evaluate(a, h) - evaluate(b, h)) > 0
     return False
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from quadorder import (
     DiffFunction,
     Functional,
-    Linear,
+    Hinge,
     OracleReport,
     as_fraction,
     barycenter,
@@ -81,7 +81,7 @@ def reference_oracle_decide(
 ) -> OracleReport:
     """The oracle on Fractions: suffix tables of mass and first moment
     over the atoms, bisect for each grid point, and the barycenter check
-    through evaluate on f(t) = t and f(t) = -t."""
+    through evaluate on f(t) = t = h_0(t) and on -t."""
 
     def hinge_table(func: Functional) -> tuple[list, list, list]:
         positions = [atom.position for atom in func.atoms]
@@ -111,8 +111,8 @@ def reference_oracle_decide(
             gap += du * (ONE - s) ** 2 / 2
         if gap > max_violation:
             max_violation, worst_s = gap, s
-    for f in (Linear(ONE), Linear(-ONE)):
-        gap = evaluate(a, f) - evaluate(b, f)
+    linear_gap = evaluate(a, Hinge(ZERO)) - evaluate(b, Hinge(ZERO))
+    for gap in (linear_gap, -linear_gap):
         if gap > max_violation:
             max_violation, worst_s = gap, None
     return OracleReport(len(grid) + 2, max_violation, worst_s)

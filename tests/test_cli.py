@@ -31,6 +31,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_line_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+UNIFORM_JSON = '{"atoms": [], "uniform": "1"}'
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -150,6 +160,17 @@ def test_check_bad_inputs_exit_2(capsys):
             "--lhs", '{"atoms": ' + "[" * 900 + "]" * 900 + "}",
             "--rhs", '{"atoms": [], "uniform": "1"}',
         ],
+        # a scalar slot nested nearly as deep as JSON parses
+        ["check", '{"atoms": [{"t": ' + "[" * 980 + "]" * 980 + ', "w": "1"}]}', "uniform"],
+        [
+            "check", "--interval", "0", "2",
+            '{"atoms": [{"t": ' + "[" * 980 + "]" * 980 + ', "w": "1"}]}', "uniform",
+        ],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", '{"atoms": [{"t": "p", "w": ' + "[" * 980 + "]" * 980 + "}]}",
+            "--rhs", '{"atoms": [], "uniform": "1"}',
+        ],
         # parses as JSON, but too deep to print
         [
             "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
@@ -197,10 +218,63 @@ def test_check_bad_inputs_exit_2(capsys):
     ],
 )
 def test_malformed_input_is_a_one_line_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert_one_line_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "FILE", "uniform"],
+        ["check", "--interval", "0", "2", "uniform", "FILE"],
+        [
+            "scan", "--family", "custom", "--sweep", "p=0:1:1/2",
+            "--lhs", "FILE", "--rhs", UNIFORM_JSON,
+        ],
+    ],
+)
+@pytest.mark.parametrize("content", [b"\xff{", None], ids=["not-utf-8", "a-directory"])
+def test_unreadable_input_file_is_a_one_line_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert_one_line_error(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "midpoint", "uniform"],
+        ["check", "trapezoid", "midpoint"],  # fails: exit 1 before the write
+        [
+            "threshold", "--family", "symmetric3",
+            "--sweep", "a=1/20:9/20:1/20", "--fix", "alpha=4/5",
+        ],
+        ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/4"],
+        ["agree", "two-vs-three", "--samples", "5"],
+    ],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv, target):
+    out_path = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    assert_one_line_error(capsys, *argv, "--out", str(out_path))
+
+
+def test_keys_outside_the_shape_are_ignored_by_check_and_templates(capsys):
+    # An extra key, at the top or in an entry, is read by neither check nor
+    # a custom template, however it nests.
+    template = '{"atoms": [{"t": "P", "w": "1", "note": "x"}], "note": {"x": [[["y"]]]}}'
+    code, out, _ = run(
+        capsys, "scan", "--family", "custom", "--sweep", "P=0:1:1/2",
+        "--lhs", template, "--rhs", UNIFORM_JSON,
+    )
+    assert code == 0
+    rows = [row.split(",")[:2] for row in out.splitlines()[1:]]
+    assert rows == [["0", "false"], ["1/2", "true"], ["1", "false"]]
+    for p, holds in rows:
+        code, _, _ = run(capsys, "check", template.replace('"P"', f'"{p}"'), UNIFORM_JSON)
+        assert code == (0 if holds == "true" else 1)
 
 
 def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):

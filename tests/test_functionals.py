@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from quadorder import (
     DomainError,
     Hinge,
-    Linear,
     MIDPOINT,
     MassError,
     NegativeWeightError,
@@ -203,7 +202,7 @@ def test_uniform_square_and_linear_means_match_numeric_quadrature():
     mids = [(k + 0.5) / n for k in range(n)]
     assert abs(sum(t * t for t in mids) / n - 1 / 3) < 1e-6
     assert abs(sum(mids) / n - 1 / 2) < 1e-9
-    assert evaluate(UNIFORM, Linear()) == F(1, 2)
+    assert evaluate(UNIFORM, Hinge(0)) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_cdf_is_a_distribution_function(seed):
 @given(seeds)
 def test_barycenter_equals_linear_evaluation(seed):
     f = rand_functional(random.Random(seed))
-    assert barycenter(f) == evaluate(f, Linear())
+    assert barycenter(f) == evaluate(f, Hinge(0))
 
 
 @given(seeds, st.integers(min_value=0, max_value=16))
@@ -267,7 +266,7 @@ def test_evaluate_is_affine_in_the_functional(seed, sixteenths):
     f, g = rand_functional(rng), rand_functional(rng)
     lam = F(sixteenths, 16)
     blend = mix(f, g, lam)
-    for test_fn in (Hinge(F(1, 3)), Linear()):
+    for test_fn in (Hinge(F(1, 3)), Hinge(0)):
         assert evaluate(blend, test_fn) == lam * evaluate(f, test_fn) + (
             1 - lam
         ) * evaluate(g, test_fn)

@@ -21,6 +21,7 @@ from quadorder import (
     SIMPSON,
     TRAPEZOID,
     UNIFORM,
+    Verdict,
     barycenter,
     crossing_profile,
     decide,
@@ -220,6 +221,28 @@ def test_cumulative_mean_mismatch_gives_linear_witness():
     v = decide(heavy_left, UNIFORM)
     assert v.witness == LinearWitness(-1)
     assert verify_witness(heavy_left, UNIFORM, v)
+
+
+def test_verify_witness_rejects_forged_witnesses():
+    # The linear witness is read through the hinge h_0(t) = t.  Both
+    # directions occur, so dropping the direction factor rejects a genuine
+    # witness or accepts a flipped one.
+    heavy_left = make_functional([(0, F(1, 2)), (F(1, 2), F(1, 2))])
+    for a, b, direction in ((UNIFORM, heavy_left, 1), (heavy_left, UNIFORM, -1)):
+        assert decide(a, b) == Verdict(FAILS, LinearWitness(direction))
+        assert verify_witness(a, b, Verdict(FAILS, LinearWitness(direction)))
+        assert not verify_witness(a, b, Verdict(FAILS, LinearWitness(-direction)))
+        assert not verify_witness(a, b, Verdict(FAILS, LinearWitness(2 * direction)))
+    # A hinge witness must reproduce its gap exactly.
+    assert decide(TRAPEZOID, MIDPOINT).witness == HingeWitness(F(1, 2), F(1, 4))
+    assert verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(F(1, 2), F(1, 4))))
+    for gap in (F(1, 4) + F(1, 10**9), F(1, 4) - F(1, 10**9)):
+        assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(F(1, 2), gap)))
+    # A verdict that holds carries no witness; one that fails carries one.
+    assert verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS))
+    assert not verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS, HingeWitness(F(1, 2), F(1, 8))))
+    assert not verify_witness(UNIFORM, heavy_left, Verdict(HOLDS, LinearWitness(1)))
+    assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS))
 
 
 # ---------------------------------------------------------------------------
