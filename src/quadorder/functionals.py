@@ -6,8 +6,9 @@ expectation operator of a probability measure made of atoms plus a
 uniform component, and that measure's distribution function is a
 piecewise-linear, right-continuous step/ramp mixture.
 
-All arithmetic in this module is exact rational arithmetic
-(fractions.Fraction).  Floats are rejected at the boundary: decisions
+All arithmetic in this module is exact: values are fractions.Fraction,
+and make_functional orders and sums them as integers over common
+denominators.  Floats are rejected at the boundary: decisions
 downstream hinge on sharp equalities, and a float that "looks like"
 9/10 is not 9/10.
 """
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Union
 
 __all__ = [
@@ -157,27 +160,49 @@ def make_functional(
     """Validate and normalize a functional.
 
     Coincident atom positions are merged, zero weights dropped, atoms
-    sorted.  Raises DomainError / NegativeWeightError / MassError.
+    sorted.  Raises DomainError / NegativeWeightError / MassError; the
+    first bad atom, in input order, is the one reported.
+
+    Each scalar is parsed once.  Atoms are ordered by an exact integer
+    key, the position over the common denominator of all positions, and
+    the mass is summed as one int over the common denominator of all
+    weights.
     """
     uniform = as_fraction(uniform_weight)
-    if uniform < 0:
+    if uniform.numerator < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
-    merged: dict[Fraction, Fraction] = {}
+    parsed = []
     for position, weight in atoms:
         t = as_fraction(position)
         w = as_fraction(weight)
-        if not ZERO <= t <= ONE:
+        if t.numerator < 0 or t.numerator > t.denominator:
             raise DomainError(f"atom position {t} outside [0, 1]")
-        if w < 0:
+        if w.numerator < 0:
             raise NegativeWeightError(f"atom weight {w} < 0 at position {t}")
-        merged[t] = merged.get(t, ZERO) + w
-    total = sum(merged.values(), start=ZERO) + uniform
-    if total != 1:
-        raise MassError(f"total mass {total} != 1")
-    cleaned = tuple(
-        Atom(t, w) for t, w in sorted(merged.items()) if w != 0
+        if w.numerator:
+            parsed.append((t, w))
+    t_scale = lcm(*{t.denominator for t, _ in parsed})
+    w_scale = lcm(uniform.denominator, *{w.denominator for _, w in parsed})
+    # one running int: W can have thousands of bits, so no scaled weight
+    # outlives its step of the loop
+    total = uniform.numerator * (w_scale // uniform.denominator)
+    for _, w in parsed:
+        total += w.numerator * (w_scale // w.denominator)
+    if total != w_scale:
+        raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
+    keyed = sorted(
+        ((t.numerator * (t_scale // t.denominator), t, w) for t, w in parsed),
+        key=itemgetter(0),
     )
-    return Functional(cleaned, uniform)
+    merged: list[Atom] = []
+    last_key = -1
+    for key, t, w in keyed:
+        if key == last_key:
+            merged[-1] = Atom(t, merged[-1].weight + w)
+        else:
+            merged.append(Atom(t, w))
+            last_key = key
+    return Functional(tuple(merged), uniform)
 
 
 def from_paper_convention(

@@ -9,22 +9,46 @@ construction (never by tolerance).
 from __future__ import annotations
 
 import bisect
+import heapq
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil, floor
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from quadorder import (
+    EQUAL,
+    FAILS,
+    HOLDS,
+    Atom,
+    CrossingProfile,
+    DegenerateDifference,
     DiffFunction,
+    DomainError,
     Functional,
     Hinge,
+    HingeWitness,
+    LinearWitness,
+    MassError,
+    MeansDiffer,
+    NegativeWeightError,
     OracleReport,
+    Rational,
+    SIMPSON,
+    TRAPEZOID,
+    UNIFORM,
+    Verdict,
     as_fraction,
     barycenter,
     evaluate,
+    functional_pair,
     make_functional,
 )
+from quadorder.cli import _SAMPLERS
 from quadorder.functionals import ONE, ZERO
+from quadorder.ordering import _lemma_verdict
 
 # The unit atom at 1.  Its distribution function is 0 on [0, 1), so
 # difference(f, UNIT_AT_ONE) equals F_f on [0, 1).
@@ -118,41 +142,163 @@ def reference_oracle_decide(
     return OracleReport(len(grid) + 2, max_violation, worst_s)
 
 
-def reference_difference(a: Functional, b: Functional) -> DiffFunction:
-    """D = F_a - F_b and G built in two walks: first the sorted union of
-    {0, 1} and both atom position lists, then the atom-mass difference
-    accumulated at each merged breakpoint."""
-    pa, pb = a.positions(), b.positions()
-    points: list[Fraction] = [ZERO]
-    i = j = 0
-    while i < len(pa) or j < len(pb):
-        if j >= len(pb) or (i < len(pa) and pa[i] <= pb[j]):
-            p = pa[i]
-            i += 1
-        else:
-            p = pb[j]
-            j += 1
-        if p != points[-1]:
-            points.append(p)
-    if points[-1] != ONE:
-        points.append(ONE)
+def reference_make_functional(
+    atoms: Iterable[tuple[Rational, Rational]], uniform_weight: Rational = 0
+) -> Functional:
+    """make_functional on Fractions: a dict keyed by position, a Fraction
+    sum for the mass, and a sort of the Fraction positions."""
+    uniform = as_fraction(uniform_weight)
+    if uniform < 0:
+        raise NegativeWeightError(f"uniform weight {uniform} < 0")
+    merged: dict[Fraction, Fraction] = {}
+    for position, weight in atoms:
+        t = as_fraction(position)
+        w = as_fraction(weight)
+        if not ZERO <= t <= ONE:
+            raise DomainError(f"atom position {t} outside [0, 1]")
+        if w < 0:
+            raise NegativeWeightError(f"atom weight {w} < 0 at position {t}")
+        merged[t] = merged.get(t, ZERO) + w
+    total = sum(merged.values(), start=ZERO) + uniform
+    if total != 1:
+        raise MassError(f"total mass {total} != 1")
+    return Functional(tuple(Atom(t, w) for t, w in sorted(merged.items()) if w != 0), uniform)
+
+
+@dataclass(frozen=True)
+class ReferenceDiff:
+    """D = F_A - F_B and G as Fraction tuples: on [b_i, b_{i+1}),
+    D(t) = values[i] + slope * (t - b_i) and G(b_i) = cumulative[i]."""
+
+    breakpoints: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+    slope: Fraction
+    cumulative: tuple[Fraction, ...]
+
+    def g(self, s: Fraction) -> Fraction:
+        i = bisect.bisect_right(self.breakpoints, s) - 1
+        if self.breakpoints[i] == s:
+            return self.cumulative[i]
+        dx = s - self.breakpoints[i]
+        return self.cumulative[i] + self.values[i] * dx + self.slope * dx * dx / 2
+
+    def g_end(self) -> Fraction:
+        return self.cumulative[-1]
+
+    def is_zero(self) -> bool:
+        return self.slope == 0 and not any(self.values)
+
+    def max_g(self) -> tuple[Fraction, Fraction]:
+        """(s*, G(s*)) over every breakpoint and every interior vertex;
+        smallest s* under ties."""
+        best_s, best = self.breakpoints[0], self.cumulative[0]
+        m = self.slope
+        for i, left in enumerate(self.breakpoints[:-1]):
+            right = self.breakpoints[i + 1]
+            if m != 0:
+                vertex = left - self.values[i] / m
+                if left < vertex < right:
+                    g_v = self.g(vertex)
+                    if g_v > best:
+                        best_s, best = vertex, g_v
+            g_r = self.cumulative[i + 1]
+            if g_r > best:
+                best_s, best = right, g_r
+        return best_s, best
+
+
+def reference_difference(a: Functional, b: Functional) -> ReferenceDiff:
+    """D and G on Fractions, in one walk over the signed atoms merged by
+    position: a breakpoint's value closes when the next position appears."""
     slope = a.uniform_weight - b.uniform_weight
-    values = []
+    signed = heapq.merge(
+        ((atom.position, atom.weight) for atom in a.atoms),
+        ((atom.position, -atom.weight) for atom in b.atoms),
+        key=itemgetter(0),
+    )
+    points, values = [ZERO], []
     acc = ZERO
-    i = j = 0
-    for p in points:
-        while i < len(a.atoms) and a.atoms[i].position == p:
-            acc += a.atoms[i].weight
-            i += 1
-        while j < len(b.atoms) and b.atoms[j].position == p:
-            acc -= b.atoms[j].weight
-            j += 1
-        values.append(acc + slope * p)
+    for t, w in chain(signed, [(ONE, ZERO)]):
+        if t != points[-1]:
+            values.append(acc + slope * points[-1] if slope else acc)
+            points.append(t)
+        acc += w
+    values.append(acc + slope)
     cumulative = [ZERO]
+    g = ZERO
     for k, left in enumerate(points[:-1]):
         dx = points[k + 1] - left
-        cumulative.append(cumulative[-1] + values[k] * dx + slope * dx * dx / 2)
-    return DiffFunction(tuple(points), tuple(values), slope, tuple(cumulative))
+        g += values[k] * dx + slope * dx * dx / 2
+        cumulative.append(g)
+    return ReferenceDiff(tuple(points), tuple(values), slope, tuple(cumulative))
+
+
+def reference_crossing_profile(d: ReferenceDiff) -> CrossingProfile:
+    """The crossing profile from the Fraction tuples: pieces of constant
+    sign cut at interior roots, their signed areas summed per run."""
+
+    def sign_pieces():
+        bps, values, m, cumulative = d.breakpoints, d.values, d.slope, d.cumulative
+        for i, left in enumerate(bps[:-1]):
+            v = values[i]
+            if v == 0 and m == 0:
+                continue
+            cuts = [(left, cumulative[i])]
+            if m != 0:
+                root = left - v / m
+                if left < root < bps[i + 1]:
+                    cuts.append((root, d.g(root)))
+            cuts.append((bps[i + 1], cumulative[i + 1]))
+            for (start, g_start), (end, g_end) in zip(cuts, cuts[1:]):
+                mid_value = v + m * ((start + end) / 2 - left)
+                yield start, 1 if mid_value > 0 else -1, g_end - g_start
+
+    points: list[Fraction] = []
+    areas: list[Fraction] = []
+    initial_sign = current_sign = 0
+    current_area = ZERO
+    for start, sign, signed_area in sign_pieces():
+        if current_sign == 0:
+            initial_sign = sign
+        elif sign != current_sign:
+            points.append(start)
+            areas.append(abs(current_area))
+            current_area = ZERO
+        current_sign = sign
+        current_area += signed_area
+    if current_sign == 0:
+        raise DegenerateDifference("difference is identically zero")
+    areas.append(abs(current_area))
+    return CrossingProfile(tuple(points), tuple(areas), initial_sign)
+
+
+def reference_decide(a: Functional, b: Functional, diagnose: bool = False) -> Verdict:
+    """decide on the Fraction references: the cumulative verdict, and with
+    diagnose the crossing profile and the crossing path's outcome."""
+    d = reference_difference(a, b)
+    if d.is_zero():
+        return Verdict(EQUAL)
+    g_end = d.g_end()
+    if g_end != 0:
+        verdict = Verdict(FAILS, LinearWitness(1 if g_end < 0 else -1))
+    else:
+        s_star, g_max = d.max_g()
+        verdict = Verdict(HOLDS) if g_max <= 0 else Verdict(FAILS, HingeWitness(s_star, g_max))
+    if not diagnose:
+        return verdict
+    profile = reference_crossing_profile(d)
+    lemma = _lemma_verdict(profile).outcome if g_end == 0 else None
+    return Verdict(verdict.outcome, verdict.witness, profile, lemma)
+
+
+def reference_decide_lemma(a: Functional, b: Functional) -> Verdict:
+    """decide_lemma on the Fraction references."""
+    d = reference_difference(a, b)
+    if d.is_zero():
+        raise DegenerateDifference("functionals are equal; nothing to cross")
+    if d.g_end() != 0:
+        raise MeansDiffer(f"barycenters differ: G(1) = {d.g_end()} != 0")
+    return _lemma_verdict(reference_crossing_profile(d))
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -279,3 +425,108 @@ def even_crossing_pair(rng: random.Random) -> tuple[Functional, Functional]:
         first = make_functional([(x1, (h0 + h1) / total), (1, h2 / total)])
         second = make_functional([(0, h0 / total), (x2, (h1 + h2) / total)])
         return first, second
+
+
+def first_primes_above(start: int, count: int) -> list[int]:
+    primes: list[int] = []
+    n = start
+    while len(primes) < count:
+        n += 1
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            primes.append(n)
+    return primes
+
+
+def with_endpoint_atoms(rng: random.Random) -> Functional:
+    """A random functional that also carries atoms at 0 and at 1."""
+    inner = rand_functional(rng, min_atoms=1, max_atoms=4)
+    share = Fraction(rng.randint(1, 6), 8)
+    atoms = [(0, share * Fraction(rng.randint(1, 2), 4)), (1, share * Fraction(rng.randint(1, 2), 4))]
+    rest = 1 - atoms[0][1] - atoms[1][1]
+    atoms += [(x.position, rest * x.weight) for x in inner.atoms]
+    return make_functional(atoms, rest * inner.uniform_weight)
+
+
+def coprime_pair(rng: random.Random) -> tuple[Functional, Functional]:
+    """Two functionals whose positions all have distinct prime
+    denominators near 10^5, so their common denominator is huge, each
+    with an optional uniform part."""
+    primes = first_primes_above(10**5, 60)
+    rng.shuffle(primes)
+    sides = []
+    for dens in (primes[:30], primes[30:]):
+        uniform = rng.choice([Fraction(0), Fraction(1, 3), Fraction(2, 7)])
+        raw = [rng.randint(1, 9) for _ in dens]
+        total = sum(raw)
+        atoms = [
+            (Fraction(rng.randint(1, p - 1), p), Fraction(r, total) * (1 - uniform))
+            for p, r in zip(dens, raw)
+        ]
+        sides.append(make_functional(atoms, uniform))
+    return sides[0], sides[1]
+
+
+def coprime_spread_pair(rng: random.Random) -> tuple[Functional, Functional]:
+    """A with 12 atoms in (1/4, 3/4) and B splitting each atom onto both
+    sides of it, keeping its mean, so that A <= B; every position and
+    offset has its own prime denominator near 10^5.  Both sides carry the
+    same uniform part, and the pair is swapped half the time."""
+    primes = first_primes_above(10**5, 36)
+    rng.shuffle(primes)
+    uniform = rng.choice([Fraction(0), Fraction(1, 3)])
+    raw = [rng.randint(1, 9) for _ in range(12)]
+    a_atoms, b_atoms = [], []
+    for i, r in enumerate(raw):
+        p, q, s = primes[3 * i : 3 * i + 3]
+        x = Fraction(rng.randint(p // 4 + 1, 3 * p // 4), p)
+        d = Fraction(rng.randint(q // 10 + 1, q // 4), q)
+        e = Fraction(rng.randint(s // 10 + 1, s // 4), s)
+        w = Fraction(r, sum(raw)) * (1 - uniform)
+        a_atoms.append((x, w))
+        b_atoms += [(x - d, w * e / (d + e)), (x + e, w * d / (d + e))]
+    a, b = make_functional(a_atoms, uniform), make_functional(b_atoms, uniform)
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def pair_family(rng: random.Random, family: str, count: int) -> list[tuple[Functional, Functional]]:
+    """count pairs of one kind, drawn from rng; the uniform-only,
+    endpoint-atom and equal families add a few fixed pairs on top."""
+    if family == "random":
+        return [(rand_functional(rng), rand_functional(rng)) for _ in range(count)]
+    if family == "equal-mean":
+        return [equal_mean_pair(rng) for _ in range(count)]
+    if family in _SAMPLERS:
+        return [functional_pair(_SAMPLERS[family](rng)) for _ in range(count)]
+    if family == "uniform-only":
+        pairs = [(UNIFORM, UNIFORM)]
+        for _ in range(count // 2):
+            pairs += [(UNIFORM, rand_functional(rng)), (rand_functional(rng), UNIFORM)]
+        return pairs
+    if family == "endpoint-atoms":
+        pairs = [(TRAPEZOID, SIMPSON), (SIMPSON, TRAPEZOID), (TRAPEZOID, UNIFORM)]
+        for _ in range(count):
+            other = rand_functional(rng) if rng.random() < 0.5 else with_endpoint_atoms(rng)
+            pairs.append((with_endpoint_atoms(rng), other))
+        return pairs
+    if family == "coprime":
+        return [coprime_pair(rng) for _ in range(count)]
+    if family == "coprime-spread":
+        return [coprime_spread_pair(rng) for _ in range(count)]
+    if family == "shared-positions":
+        pairs = []
+        for _ in range(count // 2):
+            # mix(a, c, lam) has every atom position of a
+            a = rand_functional(rng)
+            m = mix(a, rand_functional(rng), Fraction(rng.randint(1, 7), 8))
+            pairs += [(a, m), (m, a)]
+        return pairs
+    assert family == "equal"
+    # the same functional, once as built and once rebuilt from its atoms
+    # split in two and shuffled, which make_functional merges back
+    pairs = [(SIMPSON, SIMPSON), (UNIFORM, UNIFORM)]
+    for _ in range(count):
+        a = rand_functional(rng)
+        halves = [(x.position, x.weight / 2) for x in a.atoms] * 2
+        rng.shuffle(halves)
+        pairs.append((a, make_functional(halves, a.uniform_weight)))
+    return pairs

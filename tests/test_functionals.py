@@ -29,7 +29,15 @@ from quadorder import (
     functional_to_json,
     make_functional,
 )
-from helpers import UNIT_AT_ONE, d_left_limit, d_value, mix, rand_functional, second_moment
+from helpers import (
+    UNIT_AT_ONE,
+    d_left_limit,
+    d_value,
+    mix,
+    rand_functional,
+    reference_make_functional,
+    second_moment,
+)
 import random
 
 
@@ -90,6 +98,66 @@ def test_floats_rejected():
         make_functional([(0.5, 1)])
     # exact decimal strings are fine
     assert as_fraction("0.9") == F(9, 10)
+
+
+def _as_written(rng: random.Random, value: F) -> object:
+    """value as a Fraction, an int when whole, or one of its string forms."""
+    forms = [value, f"{value.numerator}/{value.denominator}", f" {value} "]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    if value.denominator in (2, 4, 5, 8, 10):
+        forms.append(f"{float(value)!r}")  # an exact decimal string
+    return rng.choice(forms)
+
+
+BAD_SCALARS = ["abc", "1e-3", "1/0", 0.5, True, None, "", "1//2"]
+
+
+def _raw_functional(rng: random.Random) -> tuple[list, object]:
+    """Atoms and a uniform weight as make_functional may receive them:
+    unsorted, repeated positions, zero weights, mixed scalar forms, and
+    now and then a bad scalar, a position outside [0, 1], a negative
+    weight or a mass that is not 1."""
+    den = rng.choice([2, 3, 8, 10, 12, 97, 10**6])
+    uniform = rng.choice([F(0), F(0), F(1, 4), F(1, 3)])
+    positions = [F(rng.randint(0, den), den) for _ in range(rng.randint(0, 7))]
+    positions += rng.sample(positions, rng.randint(0, len(positions)))
+    raw = [rng.choice([0, 1, 2, 5]) for _ in positions]
+    total = sum(raw)
+    if total == 0:
+        uniform = F(1)
+        weights = [F(0)] * len(positions)
+    else:
+        weights = [F(r, total) * (1 - uniform) for r in raw]
+    atoms = [[_as_written(rng, t), _as_written(rng, w)] for t, w in zip(positions, weights)]
+    for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+        if not atoms:
+            break
+        k, field = rng.randrange(len(atoms)), rng.randrange(2)
+        atoms[k][field] = rng.choice(
+            BAD_SCALARS + [F(-1, 4), F(5, 4), F(-1, den), F(den + 1, den)]
+        )
+    if rng.random() < 0.1:
+        uniform = rng.choice([F(-1, 8), "x", uniform + F(1, den)])
+    return [tuple(atom) for atom in atoms], _as_written(rng, uniform) if isinstance(uniform, F) else uniform
+
+
+def test_make_functional_matches_the_fraction_reference():
+    def outcome(build, atoms, uniform):
+        try:
+            return build(iter(atoms), uniform)
+        except ValueError as exc:  # FunctionalError is a ValueError
+            return type(exc), str(exc)
+
+    rng = random.Random("make-functional")
+    kinds = set()
+    for _ in range(1500):
+        atoms, uniform = _raw_functional(rng)
+        got = outcome(make_functional, atoms, uniform)
+        assert got == outcome(reference_make_functional, atoms, uniform)
+        kinds.add(got[0].__name__ if isinstance(got, tuple) else "ok")
+    # every exception type make_functional raises, and valid input, occurred
+    assert kinds == {"ok", "FunctionalError", "DomainError", "NegativeWeightError", "MassError"}
 
 
 # ---------------------------------------------------------------------------

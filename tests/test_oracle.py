@@ -9,15 +9,14 @@ from pathlib import Path
 
 import pytest
 
+import quadorder.functionals
 import quadorder.oracle
+import quadorder.ordering
 from quadorder import (
     HingeWitness,
     MIDPOINT,
-    SIMPSON,
-    TRAPEZOID,
     UNIFORM,
     decide,
-    functional_pair,
     make_functional,
     oracle_decide,
     refine_grid,
@@ -25,6 +24,7 @@ from quadorder import (
 from quadorder.cli import _SAMPLERS
 from helpers import (
     equal_mean_pair,
+    pair_family,
     rand_functional,
     reference_oracle_decide,
     reference_refine_grid,
@@ -123,8 +123,9 @@ def test_oracle_flags_mean_mismatch_via_linear_maps():
     assert report.worst_s == F(0)
 
 
-def test_oracle_imports_nothing_from_the_engine_it_checks():
-    tree = ast.parse(Path(quadorder.oracle.__file__).read_text())
+def _imported_names(module) -> set[str]:
+    """Every module and module.name a source file imports."""
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -133,46 +134,18 @@ def test_oracle_imports_nothing_from_the_engine_it_checks():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported, "the import scan found nothing"
+    return imported
+
+
+def test_oracle_imports_nothing_from_the_engine_it_checks():
+    imported = _imported_names(quadorder.oracle)
     assert not [name for name in imported if "ordering" in name.split(".")]
 
 
-def _first_primes_above(start: int, count: int) -> list[int]:
-    primes: list[int] = []
-    n = start
-    while len(primes) < count:
-        n += 1
-        if all(n % d for d in range(2, int(n**0.5) + 1)):
-            primes.append(n)
-    return primes
-
-
-def _with_endpoint_atoms(rng: random.Random):
-    """A random functional that also carries atoms at 0 and at 1."""
-    inner = rand_functional(rng, min_atoms=1, max_atoms=4)
-    share = F(rng.randint(1, 6), 8)
-    atoms = [(0, share * F(rng.randint(1, 2), 4)), (1, share * F(rng.randint(1, 2), 4))]
-    rest = 1 - atoms[0][1] - atoms[1][1]
-    atoms += [(x.position, rest * x.weight) for x in inner.atoms]
-    return make_functional(atoms, rest * inner.uniform_weight)
-
-
-def _coprime_pair(rng: random.Random):
-    """Two functionals whose positions all have distinct prime
-    denominators near 10^5, so their common denominator is huge, each
-    with an optional uniform part."""
-    primes = _first_primes_above(10**5, 60)
-    rng.shuffle(primes)
-    sides = []
-    for dens in (primes[:30], primes[30:]):
-        uniform = rng.choice([F(0), F(1, 3), F(2, 7)])
-        raw = [rng.randint(1, 9) for _ in dens]
-        total = sum(raw)
-        atoms = [
-            (F(rng.randint(1, p - 1), p), F(r, total) * (1 - uniform))
-            for p, r in zip(dens, raw)
-        ]
-        sides.append(make_functional(atoms, uniform))
-    return sides
+@pytest.mark.parametrize("module", [quadorder.ordering, quadorder.functionals])
+def test_engine_imports_nothing_from_the_oracle(module):
+    imported = _imported_names(module)
+    assert not [name for name in imported if "oracle" in name.split(".")]
 
 
 # pairs drawn per family; the uniform-only and endpoint-atom families add
@@ -185,28 +158,6 @@ PAIR_COUNTS = {
     "endpoint-atoms": 100,
     "coprime": 8,
 }
-
-
-def _pairs(rng: random.Random, family: str, count: int):
-    if family == "random":
-        return [(rand_functional(rng), rand_functional(rng)) for _ in range(count)]
-    if family == "equal-mean":
-        return [equal_mean_pair(rng) for _ in range(count)]
-    if family in _SAMPLERS:
-        return [functional_pair(_SAMPLERS[family](rng)) for _ in range(count)]
-    if family == "uniform-only":
-        pairs = [(UNIFORM, UNIFORM)]
-        for _ in range(count // 2):
-            pairs += [(UNIFORM, rand_functional(rng)), (rand_functional(rng), UNIFORM)]
-        return pairs
-    if family == "endpoint-atoms":
-        pairs = [(TRAPEZOID, SIMPSON), (SIMPSON, TRAPEZOID), (TRAPEZOID, UNIFORM)]
-        for _ in range(count):
-            other = rand_functional(rng) if rng.random() < 0.5 else _with_endpoint_atoms(rng)
-            pairs.append((_with_endpoint_atoms(rng), other))
-        return pairs
-    assert family == "coprime"
-    return [_coprime_pair(rng) for _ in range(count)]
 
 
 def _arbitrary_grid(rng: random.Random) -> list:
@@ -223,7 +174,7 @@ def _arbitrary_grid(rng: random.Random) -> list:
 @pytest.mark.parametrize("family", sorted(PAIR_COUNTS))
 def test_integer_oracle_matches_the_fraction_reference(family):
     rng = random.Random(f"oracle-{family}")
-    for a, b in _pairs(rng, family, PAIR_COUNTS[family]):
+    for a, b in pair_family(rng, family, PAIR_COUNTS[family]):
         grid = refine_grid(a, b)
         assert grid == reference_refine_grid(a, b)
         for s_grid in (grid, _arbitrary_grid(rng)):

@@ -4,6 +4,7 @@ decision paths."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from quadorder import (
     LinearWitness,
     MIDPOINT,
     MeansDiffer,
+    OrderingError,
     SIMPSON,
     TRAPEZOID,
     UNIFORM,
@@ -31,12 +33,17 @@ from quadorder import (
     verify_witness,
 )
 from quadorder import ordering
+from quadorder.cli import _SAMPLERS
 from helpers import (
     UNIT_AT_ONE,
     d_value,
     equal_mean_pair,
     mix,
+    pair_family,
     rand_functional,
+    reference_crossing_profile,
+    reference_decide,
+    reference_decide_lemma,
     reference_difference,
 )
 
@@ -79,7 +86,7 @@ def test_difference_uniform_vs_trapezoid():
     assert g_max <= 0
 
 
-def test_difference_matches_the_two_walk_reference():
+def test_difference_matches_the_fraction_reference():
     rng = random.Random(17)
     unit_at_zero = make_functional([(0, 1)])
     pairs = [(f, g) for f in (UNIFORM, SIMPSON, TRAPEZOID, UNIT_AT_ONE, unit_at_zero)
@@ -89,7 +96,10 @@ def test_difference_matches_the_two_walk_reference():
         # mix(a, c, 1/3) shares every atom position of a
         pairs += [(a, c), (a, a), (a, UNIFORM), (UNIFORM, a), (a, mix(a, c, F(1, 3)))]
     for a, b in pairs:
-        assert difference(a, b) == reference_difference(a, b)
+        d, ref = difference(a, b), reference_difference(a, b)
+        assert (d.breakpoints, d.values, d.slope, d.cumulative) == (
+            ref.breakpoints, ref.values, ref.slope, ref.cumulative
+        )
 
 
 def test_g_end_is_barycenter_gap():
@@ -238,6 +248,9 @@ def test_verify_witness_rejects_forged_witnesses():
     assert verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(F(1, 2), F(1, 4))))
     for gap in (F(1, 4) + F(1, 10**9), F(1, 4) - F(1, 10**9)):
         assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(F(1, 2), gap)))
+    # A hinge parameter outside [0, 1] names no hinge: rejected, not raised.
+    for s in (F(2), F(-1, 2)):
+        assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(s, F(1, 4))))
     # A verdict that holds carries no witness; one that fails carries one.
     assert verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS))
     assert not verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS, HingeWitness(F(1, 2), F(1, 8))))
@@ -350,3 +363,73 @@ def test_fails_verdicts_carry_sound_witnesses(seed):
     a, b = rand_functional(rng), rand_functional(rng)
     v = decide(a, b)
     assert verify_witness(a, b, v)
+
+
+# ---------------------------------------------------------------------------
+# The integer core against the Fraction reference
+# ---------------------------------------------------------------------------
+
+# pairs drawn per family; uniform-only, endpoint-atoms and equal add a few
+# fixed pairs on top
+ENGINE_PAIR_COUNTS = {
+    "random": 500,
+    "equal-mean": 500,
+    **{name: 200 for name in _SAMPLERS},
+    "uniform-only": 100,
+    "endpoint-atoms": 100,
+    "coprime": 8,
+    "coprime-spread": 16,
+    "shared-positions": 200,
+    "equal": 50,
+}
+
+# A vertex of G (B has a uniform part, A none, so the slope is negative)
+# ties the maximum at a breakpoint: the breakpoint 7/32 comes first and
+# wins.  Reflected (t -> 1 - t, which keeps G's values), the vertex 59/96
+# comes first and wins over the breakpoint 25/32.
+TIE_A = make_functional([(0, F(69, 256)), (F(1, 4), F(1, 6)), (F(5, 8), F(1, 12)), (1, F(123, 256))])
+TIE_B = make_functional([(F(7, 32), F(7, 24)), (F(31, 32), F(1, 3))], F(3, 8))
+
+
+def _reflected(f):
+    return make_functional([(1 - x.position, x.weight) for x in f.atoms], f.uniform_weight)
+
+
+def test_max_g_breaks_a_vertex_breakpoint_tie_toward_the_smaller_s():
+    d = difference(TIE_A, TIE_B)
+    assert d.slope < 0
+    assert d.max_g() == (F(7, 32), F(819, 16384)) == reference_difference(TIE_A, TIE_B).max_g()
+    assert d.g(F(37, 96)) == F(819, 16384)  # the vertex
+    a, b = _reflected(TIE_A), _reflected(TIE_B)
+    d = difference(a, b)
+    assert d.max_g() == (F(59, 96), F(819, 16384)) == reference_difference(a, b).max_g()
+    assert d.g(F(25, 32)) == F(819, 16384)  # the breakpoint
+    for a, b in ((TIE_A, TIE_B), (a, b)):
+        assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and message of the OrderingError it raises."""
+    try:
+        return call(*args)
+    except OrderingError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", sorted(ENGINE_PAIR_COUNTS))
+def test_integer_core_matches_the_fraction_reference(family):
+    rng = random.Random(f"engine-{family}")
+    for a, b in pair_family(rng, family, ENGINE_PAIR_COUNTS[family]):
+        d, ref = difference(a, b), reference_difference(a, b)
+        assert (d.breakpoints, d.values, d.slope, d.cumulative) == (
+            ref.breakpoints, ref.values, ref.slope, ref.cumulative
+        )
+        assert (d.is_zero(), d.g_end()) == (ref.is_zero(), ref.g_end())
+        assert d.max_g() == ref.max_g()
+        probes = {F(0), F(1), d.breakpoints[len(d.breakpoints) // 2], F(rng.randint(0, 997), 997)}
+        assert [d.g(s) for s in probes] == [ref.g(s) for s in probes]
+        assert _outcome(crossing_profile, d) == _outcome(reference_crossing_profile, ref)
+        want = reference_decide(a, b, diagnose=True)
+        assert decide(a, b, diagnose=True) == want
+        assert decide(a, b) == replace(want, crossings=None, lemma_outcome=None)
+        assert _outcome(decide_lemma, a, b) == _outcome(reference_decide_lemma, a, b)
