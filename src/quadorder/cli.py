@@ -122,8 +122,8 @@ def _compile(text: str) -> tuple:
             raise CLIError(f"bad character {bad!r} in expression {text!r}")
         if expect_operand and (number or name):
             try:
-                out.append(Fraction(number) if number else name)
-            except ValueError:
+                out.append(as_fraction(number) if number else name)
+            except FunctionalError:
                 raise CLIError(f"bad number {number!r} in {text!r}") from None
             expect_operand = False
         elif expect_operand and op in ("-", "+", "("):

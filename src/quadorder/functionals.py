@@ -6,18 +6,22 @@ expectation operator of a probability measure made of atoms plus a
 uniform component, and that measure's distribution function is a
 piecewise-linear, right-continuous step/ramp mixture.
 
-All arithmetic in this module is exact: values are fractions.Fraction,
-and make_functional orders and sums them as integers over common
-denominators.  Floats are rejected at the boundary: decisions
-downstream hinge on sharp equalities, and a float that "looks like"
-9/10 is not 9/10.
+All arithmetic in this module is exact.  A Functional holds each atom
+position and weight as a (numerator, denominator) int pair in lowest
+terms, with T and W, the common denominators of its positions and of
+its weights, computed once; make_functional orders and sums atoms as
+ints over T and W.  Every input string is read straight to such a pair
+by one number grammar (see _read_rational), whatever the Python version.
+Floats are rejected at the boundary: decisions downstream hinge on
+sharp equalities, and a float that "looks like" 9/10 is not 9/10.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Union
 
@@ -72,29 +76,104 @@ class UnsupportedTestFunction(FunctionalError):
     """evaluate() was handed something other than a hinge."""
 
 
+# The number grammar: Python 3.11's Fraction(str) grammar without the
+# exponent.  Optional whitespace, an optional sign, then "p", "p/q" or a
+# decimal "p.d", ".d" or "p."; digit runs may be split by single
+# underscores and may use any Unicode decimal digits.  It is written out
+# here because Fraction(str) accepts more on later versions ("1 /2" from
+# 3.12) and less on earlier ones ("1_0/3" before 3.11).
+_NUMBER = re.compile(
+    r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)
+    (?P<num>(?:\d+(?:_\d+)*)?)
+    (?:/(?P<den>\d+(?:_\d+)*)|(?:\.(?P<decimal>(?:\d+(?:_\d+)*)?))?)
+    \s*""",
+    re.VERBOSE,
+)
+
+
+def _read_rational(text: str) -> tuple[int, int]:
+    """text read by the number grammar, as (numerator, denominator) in
+    lowest terms.  The one reader of every number written as text.
+
+    Exponent notation is refused, since "1e-300000" would build
+    10**300000; a digit run longer than int() accepts is refused as
+    int() refuses it."""
+    num, _, den = text.partition("/")
+    sign = decimal = None
+    # digits "/" digits is in the grammar and needs no regex; anything
+    # else is matched in full
+    if not (num.isdecimal() and den.isdecimal()):
+        match = _NUMBER.fullmatch(text)
+        if match is None:
+            if "e" in text or "E" in text:
+                raise FunctionalError(f"cannot parse rational {text!r}: no exponent notation")
+            raise FunctionalError(
+                f"cannot parse rational {text!r}: Invalid literal for Fraction: {text!r}"
+            )
+        sign, num, den, decimal = match.groups()
+    try:
+        numerator = int(num or "0")
+        if den:
+            denominator = int(den)
+        elif decimal:
+            digits = decimal.replace("_", "")
+            denominator = 10 ** len(digits)
+            numerator = numerator * denominator + int(digits)
+        else:
+            denominator = 1
+    except ValueError as exc:
+        raise FunctionalError(f"cannot parse rational {text!r}: {exc}") from None
+    if sign == "-":
+        numerator = -numerator
+    if not denominator:
+        raise FunctionalError(f"cannot parse rational {text!r}: Fraction({numerator}, 0)")
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
+
+
+def _as_pair(value: Rational) -> tuple[int, int]:
+    """An int, string or Fraction as (numerator, denominator) in lowest
+    terms.  Floats and bools are refused."""
+    if isinstance(value, str):
+        return _read_rational(value)
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if isinstance(value, bool):
+        raise FunctionalError(f"not a rational value: {value!r}")
+    if isinstance(value, int):
+        return int(value), 1
+    raise FunctionalError(
+        f"not an exact rational: {value!r} (floats are rejected; use 'p/q' strings)"
+    )
+
+
 def as_fraction(value: Rational) -> Fraction:
     """Coerce an int, string, or Fraction to an exact Fraction.
 
     Floats are deliberately rejected: Fraction(0.9) is not 9/10.
-    Strings accept "p/q", "p", and exact decimals like "0.9"; exponent
-    notation is refused, since "1e-300000" would build 10**300000.
+    Strings follow the number grammar: "p/q", "p", and exact decimals
+    like "0.9"; exponent notation is refused.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise FunctionalError(f"not a rational value: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise FunctionalError(f"cannot parse rational {value!r}: no exponent notation")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FunctionalError(f"cannot parse rational {value!r}: {exc}") from None
-    raise FunctionalError(
-        f"not an exact rational: {value!r} (floats are rejected; use 'p/q' strings)"
-    )
+    return Fraction(*_as_pair(value))
+
+
+def _show(pair: tuple[int, int]) -> str:
+    """A pair as str(Fraction) shows it: "p/q", or "p" when q is 1."""
+    num, den = pair
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _lcm(denominators: Iterable[int]) -> int:
+    """lcm of the denominators, taken pairwise in a balanced tree: folding
+    them one at a time multiplies a growing lcm by each small one, and is
+    several times slower on thousands of them.  Two or fewer take one
+    lcm call."""
+    row = list(denominators)
+    while len(row) > 2:
+        row = [*map(lcm, row[::2], row[1::2]), *row[len(row) & ~1 :]]
+    return lcm(*row)
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +221,30 @@ class Functional:
     """Atoms (strictly increasing positions, positive weights) plus a
     uniform component; total mass is exactly 1.
 
+    Atom i sits at position_pairs[i] and weighs weight_pairs[i], each a
+    (numerator, denominator) int pair in lowest terms, in position order.
+    t_scale (T) is the lcm of the position denominators and w_scale (W)
+    that of the weight denominators and uniform_weight's.  atoms and
+    positions() are Fraction views, built on each read.
+
     Build through make_functional / from_paper_convention, which enforce
     the invariants and normalize (merge coincident atoms, drop zeros).
     """
 
-    atoms: tuple[Atom, ...]
+    position_pairs: tuple[tuple[int, int], ...]
+    weight_pairs: tuple[tuple[int, int], ...]
     uniform_weight: Fraction
+    t_scale: int
+    w_scale: int
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(
+            Atom(Fraction(*t), Fraction(*w)) for t, w in zip(self.position_pairs, self.weight_pairs)
+        )
 
     def positions(self) -> tuple[Fraction, ...]:
-        return tuple(a.position for a in self.atoms)
+        return tuple(Fraction(*t) for t in self.position_pairs)
 
 
 def make_functional(
@@ -163,46 +257,50 @@ def make_functional(
     sorted.  Raises DomainError / NegativeWeightError / MassError; the
     first bad atom, in input order, is the one reported.
 
-    Each scalar is parsed once.  Atoms are ordered by an exact integer
-    key, the position over the common denominator of all positions, and
-    the mass is summed as one int over the common denominator of all
-    weights.
+    Each scalar is read once, to an int pair.  Atoms are ordered by an
+    exact integer key, the position over T, and the mass is summed as
+    one int over W.
     """
     uniform = as_fraction(uniform_weight)
     if uniform.numerator < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
     parsed = []
     for position, weight in atoms:
-        t = as_fraction(position)
-        w = as_fraction(weight)
-        if t.numerator < 0 or t.numerator > t.denominator:
-            raise DomainError(f"atom position {t} outside [0, 1]")
-        if w.numerator < 0:
-            raise NegativeWeightError(f"atom weight {w} < 0 at position {t}")
-        if w.numerator:
+        t = _as_pair(position)
+        w = _as_pair(weight)
+        if t[0] < 0 or t[0] > t[1]:
+            raise DomainError(f"atom position {_show(t)} outside [0, 1]")
+        if w[0] < 0:
+            raise NegativeWeightError(f"atom weight {_show(w)} < 0 at position {_show(t)}")
+        if w[0]:
             parsed.append((t, w))
-    t_scale = lcm(*{t.denominator for t, _ in parsed})
-    w_scale = lcm(uniform.denominator, *{w.denominator for _, w in parsed})
+    t_scale = _lcm({t[1] for t, _ in parsed})
+    w_scale = _lcm({uniform.denominator, *(w[1] for _, w in parsed)})
     # one running int: W can have thousands of bits, so no scaled weight
     # outlives its step of the loop
     total = uniform.numerator * (w_scale // uniform.denominator)
-    for _, w in parsed:
-        total += w.numerator * (w_scale // w.denominator)
+    for _, (num, den) in parsed:
+        total += num * (w_scale // den)
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
-    keyed = sorted(
-        ((t.numerator * (t_scale // t.denominator), t, w) for t, w in parsed),
-        key=itemgetter(0),
-    )
-    merged: list[Atom] = []
+    keyed = sorted(((t[0] * (t_scale // t[1]), t, w) for t, w in parsed), key=itemgetter(0))
+    positions: list[tuple[int, int]] = []
+    weights: list[tuple[int, int]] = []
     last_key = -1
     for key, t, w in keyed:
         if key == last_key:
-            merged[-1] = Atom(t, merged[-1].weight + w)
+            (n1, d1), (n2, d2) = weights[-1], w
+            num, den = n1 * d2 + n2 * d1, d1 * d2
+            common = gcd(num, den)
+            weights[-1] = (num // common, den // common)
         else:
-            merged.append(Atom(t, w))
+            positions.append(t)
+            weights.append(w)
             last_key = key
-    return Functional(tuple(merged), uniform)
+    if len(weights) < len(keyed):
+        # a merged weight's denominator can be smaller than its parts'
+        w_scale = _lcm({uniform.denominator, *(den for _, den in weights)})
+    return Functional(tuple(positions), tuple(weights), uniform, t_scale, w_scale)
 
 
 def from_paper_convention(
@@ -247,7 +345,9 @@ def evaluate(func: Functional, f: Hinge) -> Fraction:
 
 def functional_to_json(func: Functional) -> dict:
     return {
-        "atoms": [{"t": str(a.position), "w": str(a.weight)} for a in func.atoms],
+        "atoms": [
+            {"t": _show(t), "w": _show(w)} for t, w in zip(func.position_pairs, func.weight_pairs)
+        ],
         "uniform": str(func.uniform_weight),
     }
 

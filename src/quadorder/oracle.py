@@ -46,12 +46,12 @@ class OracleReport:
 
 def _scales(a: Functional, b: Functional) -> tuple[int, int]:
     """T, the common denominator of every position of both sides, and W,
-    that of every weight and uniform weight."""
-    t_scale = lcm(*{atom.position.denominator for f in (a, b) for atom in f.atoms})
+    that of every weight and uniform weight, from the atoms' int pairs."""
+    t_scale = lcm(*{den for f in (a, b) for _, den in f.position_pairs})
     w_scale = lcm(
         a.uniform_weight.denominator,
         b.uniform_weight.denominator,
-        *{atom.weight.denominator for f in (a, b) for atom in f.atoms},
+        *{den for f in (a, b) for _, den in f.weight_pairs},
     )
     return t_scale, w_scale
 
@@ -71,12 +71,14 @@ def _hinge_table(
     first row i whose position exceeds s.  A last position T + 1 lies
     above every s in [0, 1], so a walk over the rows needs no bound check.
     """
-    positions = [_scaled(atom.position, t_scale) for atom in func.atoms]
+    positions = [num * (t_scale // den) for num, den in func.position_pairs]
+    weights = func.weight_pairs
     mass = [0] * len(positions)
     moment = [0] * len(positions)
     total_mass = total_moment = 0
     for i in range(len(positions) - 1, -1, -1):
-        weight = _scaled(func.atoms[i].weight, w_scale)
+        num, den = weights[i]
+        weight = num * (w_scale // den)
         total_mass += weight
         total_moment += weight * positions[i]
         mass[i] = total_mass

@@ -26,11 +26,12 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .functionals import (
-    DomainError,
     Functional,
+    FunctionalError,
     Hinge,
     ZERO,
     ONE,
+    as_fraction,
     evaluate,
 )
 
@@ -237,30 +238,22 @@ def _add_over_lcm(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 def difference(a: Functional, b: Functional) -> DiffFunction:
     """Exact D = F_a - F_b and G on the merged breakpoint set.
 
-    Every position of both sides is scaled to one common denominator T
-    and every weight is read over one common denominator W.  The signed
-    atoms (+w from a, -w from b) are merged by position in one stable
-    sort of the two sorted runs; atoms of both sides at one position
-    become one jump.
+    Every position of both sides is scaled to T = lcm(T_a, T_b) and every
+    weight is read over W = lcm(W_a, W_b), straight from the functionals'
+    int pairs.  The signed atoms (+w from a, -w from b) are merged by
+    position in one stable sort of the two sorted runs; atoms of both
+    sides at one position become one jump.
     """
-    t_scale = lcm(*{atom.position.denominator for f in (a, b) for atom in f.atoms})
-    w_scale = lcm(
-        a.uniform_weight.denominator,
-        b.uniform_weight.denominator,
-        *{atom.weight.denominator for f in (a, b) for atom in f.atoms},
-    )
+    t_scale = lcm(a.t_scale, b.t_scale)
+    w_scale = lcm(a.w_scale, b.w_scale)
     slope_w = (
         a.uniform_weight.numerator * (w_scale // a.uniform_weight.denominator)
         - b.uniform_weight.numerator * (w_scale // b.uniform_weight.denominator)
     )
     signed = [
-        (
-            atom.position.numerator * (t_scale // atom.position.denominator),
-            sign * atom.weight.numerator,
-            atom.weight.denominator,
-        )
+        (tn * (t_scale // td), sign * wn, wd)
         for sign, f in ((1, a), (-1, b))
-        for atom in f.atoms
+        for (tn, td), (wn, wd) in zip(f.position_pairs, f.weight_pairs)
     ]
     signed.sort(key=itemgetter(0))
     points, jumps = [0], [(0, 1)]
@@ -497,7 +490,8 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
     """Re-check a Fails witness by direct evaluation, independent of how
     the verdict was produced.
 
-    A hinge witness must reproduce its gap exactly; a linear witness
+    A hinge witness must name a hinge and reproduce its gap exactly, and
+    one whose fields are not rationals is rejected; a linear witness
     must separate the barycenters, read through the hinge h_0(t) = t, in
     the claimed direction.  Verdicts without a witness verify iff they
     are not Fails.
@@ -508,9 +502,10 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
     if isinstance(w, HingeWitness):
         try:
             h = Hinge(w.s)
-        except DomainError:
+            gap = as_fraction(w.gap)
+        except FunctionalError:
             return False
-        return w.gap > 0 and evaluate(a, h) - evaluate(b, h) == w.gap
+        return gap > 0 and evaluate(a, h) - evaluate(b, h) == gap
     if isinstance(w, LinearWitness):
         h = Hinge(ZERO)
         return w.direction in (-1, 1) and w.direction * (evaluate(a, h) - evaluate(b, h)) > 0

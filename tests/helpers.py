@@ -144,9 +144,10 @@ def reference_oracle_decide(
 
 def reference_make_functional(
     atoms: Iterable[tuple[Rational, Rational]], uniform_weight: Rational = 0
-) -> Functional:
+) -> tuple[tuple[Atom, ...], Fraction]:
     """make_functional on Fractions: a dict keyed by position, a Fraction
-    sum for the mass, and a sort of the Fraction positions."""
+    sum for the mass, and a sort of the Fraction positions.  Returns the
+    views a Functional gives, (atoms, uniform_weight)."""
     uniform = as_fraction(uniform_weight)
     if uniform < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
@@ -162,7 +163,54 @@ def reference_make_functional(
     total = sum(merged.values(), start=ZERO) + uniform
     if total != 1:
         raise MassError(f"total mass {total} != 1")
-    return Functional(tuple(Atom(t, w) for t, w in sorted(merged.items()) if w != 0), uniform)
+    return tuple(Atom(t, w) for t, w in sorted(merged.items()) if w != 0), uniform
+
+
+# The number grammar, pinned: each string with the value as_fraction reads
+# from it, or the reason it gives after "cannot parse rational <text>: ".
+# The first three once depended on the Python version: "1_0/3" was refused
+# before 3.11, "1 /2" is accepted by Fraction(str) from 3.12, and "1.dd"
+# failed in int() on 3.11 and 3.12.
+NUMBER_GRAMMAR: list[tuple[str, object]] = [
+    ("1_0/3", Fraction(10, 3)),
+    ("1 /2", "Invalid literal for Fraction: '1 /2'"),
+    ("1.dd", "Invalid literal for Fraction: '1.dd'"),
+    ("1.DD", "Invalid literal for Fraction: '1.DD'"),
+    ("1/ 2", "Invalid literal for Fraction: '1/ 2'"),
+    ("3/6", Fraction(1, 2)),
+    ("-3/6", Fraction(-1, 2)),
+    ("+7", Fraction(7)),
+    (" \t1/2\n", Fraction(1, 2)),
+    ("0.25", Fraction(1, 4)),
+    (".5", Fraction(1, 2)),
+    ("5.", Fraction(5)),
+    ("-.5", Fraction(-1, 2)),
+    ("1.2_5", Fraction(5, 4)),
+    ("1_000_000", Fraction(10**6)),
+    ("\u0661/\u0662", Fraction(1, 2)),  # Arabic-Indic digits
+    ("\uff13.\uff15", Fraction(7, 2)),  # fullwidth digits
+    ("1/0", "Fraction(1, 0)"),
+    ("-3/0", "Fraction(-3, 0)"),
+    ("-0/0", "Fraction(0, 0)"),
+    ("1e3", "no exponent notation"),
+    ("2E-1", "no exponent notation"),
+    ("1.5/2", "Invalid literal for Fraction: '1.5/2'"),
+    ("1/2.5", "Invalid literal for Fraction: '1/2.5'"),
+    ("1/2/3", "Invalid literal for Fraction: '1/2/3'"),
+    ("1._5", "Invalid literal for Fraction: '1._5'"),
+    ("1__0", "Invalid literal for Fraction: '1__0'"),
+    ("_1", "Invalid literal for Fraction: '_1'"),
+    ("1_", "Invalid literal for Fraction: '1_'"),
+    ("/2", "Invalid literal for Fraction: '/2'"),
+    ("1/", "Invalid literal for Fraction: '1/'"),
+    ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    ("- 1", "Invalid literal for Fraction: '- 1'"),
+    ("+-1", "Invalid literal for Fraction: '+-1'"),
+    (".", "Invalid literal for Fraction: '.'"),
+    ("", "Invalid literal for Fraction: ''"),
+    ("0x10", "Invalid literal for Fraction: '0x10'"),
+    ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),  # a digit, but not a decimal one
+]
 
 
 @dataclass(frozen=True)

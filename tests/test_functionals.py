@@ -6,12 +6,15 @@ which equals F_f on [0, 1) and F_f - 1 at 1."""
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from quadorder import (
     DomainError,
+    Functional,
+    FunctionalError,
     Hinge,
     MIDPOINT,
     MassError,
@@ -29,7 +32,9 @@ from quadorder import (
     functional_to_json,
     make_functional,
 )
+from quadorder.cli import eval_rational_expr
 from helpers import (
+    NUMBER_GRAMMAR,
     UNIT_AT_ONE,
     d_left_limit,
     d_value,
@@ -39,6 +44,7 @@ from helpers import (
     second_moment,
 )
 import random
+import sys
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +106,66 @@ def test_floats_rejected():
     assert as_fraction("0.9") == F(9, 10)
 
 
+def test_number_grammar_table():
+    for text, expected in NUMBER_GRAMMAR:
+        if isinstance(expected, F):
+            assert as_fraction(text) == expected, text
+            assert eval_rational_expr(text.replace("_", "")) == expected, text
+        else:
+            with pytest.raises(FunctionalError) as caught:
+                as_fraction(text)
+            assert str(caught.value) == f"cannot parse rational {text!r}: {expected}"
+
+
+# Pieces of number-like strings: ASCII and other Unicode decimal digits, a
+# superscript digit (not decimal), the grammar's punctuation, spaces, and
+# letters near it: e and E (exponents, refused) and d (once read in the
+# decimal part on 3.11).
+_PIECES = [*"0123456789", "12", "007", "\u0663", "\u096f", "\uff18", "\u00b2",
+           "_", ".", "/", "+", "-", " ", "\t", "e", "E", "d", "D"]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="the grammar is 3.11's Fraction(str)")
+def test_number_reader_matches_fraction_of_str_on_3_11():
+    rng = random.Random("number-grammar")
+    kinds = set()
+    for _ in range(20_000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 7)))
+        try:
+            got = as_fraction(text)
+        except FunctionalError as exc:
+            got = str(exc)
+        if "e" in text or "E" in text:
+            kind, expected = "exponent", f"cannot parse rational {text!r}: no exponent notation"
+        else:
+            try:
+                kind, expected = "value", F(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                kind, reason = type(exc).__name__, str(exc)
+                if reason.startswith("invalid literal for int()"):
+                    # 3.11 reads a run of d's as a decimal part, then fails in int()
+                    kind, reason = "d", f"Invalid literal for Fraction: {text!r}"
+                expected = f"cannot parse rational {text!r}: {reason}"
+        assert got == expected, text
+        kinds.add(kind)
+    assert kinds == {"value", "exponent", "ValueError", "ZeroDivisionError", "d"}
+
+
+def test_one_functional_however_its_numbers_are_written():
+    forms = [
+        [(F(1, 4), F(1, 3)), (F(3, 4), F(1, 3))],
+        [("1/4", "1/3"), ("0.75", "2/6")],
+        [(" 0.25 ", "1_0/30"), ("3/4", "+1/3")],
+        [("\u0661/\u0664", "1/6"), ("3/4", "1/3"), ("1/4", "1/6")],  # merged at 1/4
+        [("2/8", "1/3"), ("75/100", 0), ("6/8", "1/3")],
+    ]
+    built = [make_functional(atoms, "1/3") for atoms in forms]
+    for f in built:
+        assert f == built[0] and hash(f) == hash(built[0])
+        assert f.position_pairs == ((1, 4), (3, 4)) and f.weight_pairs == ((1, 3), (1, 3))
+        assert (f.t_scale, f.w_scale) == (4, 3)
+
+
 def _as_written(rng: random.Random, value: F) -> object:
     """value as a Fraction, an int when whole, or one of its string forms."""
     forms = [value, f"{value.numerator}/{value.denominator}", f" {value} "]
@@ -149,13 +215,24 @@ def test_make_functional_matches_the_fraction_reference():
         except ValueError as exc:  # FunctionalError is a ValueError
             return type(exc), str(exc)
 
+    def views(result):
+        """A Functional's Fraction views, after checking that its T and W
+        are the lcms of its own denominators."""
+        if not isinstance(result, Functional):
+            return result
+        assert result.t_scale == lcm(*(t.denominator for t in result.positions()))
+        assert result.w_scale == lcm(
+            result.uniform_weight.denominator, *(a.weight.denominator for a in result.atoms)
+        )
+        return result.atoms, result.uniform_weight
+
     rng = random.Random("make-functional")
     kinds = set()
     for _ in range(1500):
         atoms, uniform = _raw_functional(rng)
-        got = outcome(make_functional, atoms, uniform)
+        got = views(outcome(make_functional, atoms, uniform))
         assert got == outcome(reference_make_functional, atoms, uniform)
-        kinds.add(got[0].__name__ if isinstance(got, tuple) else "ok")
+        kinds.add(got[0].__name__ if isinstance(got[0], type) else "ok")
     # every exception type make_functional raises, and valid input, occurred
     assert kinds == {"ok", "FunctionalError", "DomainError", "NegativeWeightError", "MassError"}
 

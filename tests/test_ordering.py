@@ -251,6 +251,9 @@ def test_verify_witness_rejects_forged_witnesses():
     # A hinge parameter outside [0, 1] names no hinge: rejected, not raised.
     for s in (F(2), F(-1, 2)):
         assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(s, F(1, 4))))
+    # So is a witness whose fields are not rationals.
+    for forged in (HingeWitness("x", F(1)), HingeWitness(None, F(1)), HingeWitness(F(1, 2), "y")):
+        assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, forged))
     # A verdict that holds carries no witness; one that fails carries one.
     assert verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS))
     assert not verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS, HingeWitness(F(1, 2), F(1, 8))))
