@@ -9,11 +9,16 @@ piecewise-linear, right-continuous step/ramp mixture.
 All arithmetic in this module is exact.  A Functional holds each atom
 position and weight as a (numerator, denominator) int pair in lowest
 terms, with T and W, the common denominators of its positions and of
-its weights, computed once; make_functional orders and sums atoms as
-ints over T and W.  Every input string is read straight to such a pair
-by one number grammar (see _read_rational), whatever the Python version.
-Floats are rejected at the boundary: decisions downstream hinge on
-sharp equalities, and a float that "looks like" 9/10 is not 9/10.
+its weights, computed once; make_functional orders atoms as ints over T
+and sums their weights pairwise (_sum_pairs), which yields W.  Every
+input string is read straight to such a pair by one number grammar (see
+_read_rational), whatever the Python version.  Floats are rejected at
+the boundary: decisions downstream hinge on sharp equalities, and a
+float that "looks like" 9/10 is not 9/10.
+
+The test functions are the hinges h_s(t) = max(t - s, 0), s in [0, 1]:
+by the Levin-Steckin theorem they decide the convex order together with
++/- t, and on [0, 1] the map t is h_0, so a hinge is named by s alone.
 """
 
 from __future__ import annotations
@@ -30,17 +35,13 @@ __all__ = [
     "MassError",
     "DomainError",
     "NegativeWeightError",
-    "UnsupportedTestFunction",
     "Rational",
     "as_fraction",
-    "Hinge",
     "Atom",
     "Functional",
     "make_functional",
     "from_paper_convention",
-    "barycenter",
     "evaluate",
-    "functional_to_json",
     "functional_from_json",
     "UNIFORM",
     "MIDPOINT",
@@ -70,10 +71,6 @@ class DomainError(FunctionalError):
 
 class NegativeWeightError(FunctionalError):
     """A weight is negative."""
-
-
-class UnsupportedTestFunction(FunctionalError):
-    """evaluate() was handed something other than a hinge."""
 
 
 # The number grammar: Python 3.11's Fraction(str) grammar without the
@@ -176,31 +173,28 @@ def _lcm(denominators: Iterable[int]) -> int:
     return lcm(*row)
 
 
-# ---------------------------------------------------------------------------
-# The test family.  Hinges h_s(t) = max(t - s, 0) are the extreme convex
-# directions: by the Levin-Steckin theorem they decide the convex order
-# together with +/- t, and on [0, 1] the map t is itself the hinge h_0.
-# Each hinge has an exact closed-form uniform mean.
-# ---------------------------------------------------------------------------
+def _add_pairs(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y for (numerator, denominator) pairs, over the lcm; not reduced."""
+    (n1, d1), (n2, d2) = x, y
+    common = gcd(d1, d2)
+    return n1 * (d2 // common) + n2 * (d1 // common), d1 // common * d2
 
 
-@dataclass(frozen=True)
-class Hinge:
-    """h_s(t) = max(t - s, 0) with s in [0, 1]; uniform mean (1-s)^2 / 2."""
-
-    s: Fraction
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.s, Fraction):
-            object.__setattr__(self, "s", as_fraction(self.s))
-        if not ZERO <= self.s <= ONE:
-            raise DomainError(f"hinge parameter {self.s} outside [0, 1]")
-
-    def __call__(self, t: Fraction) -> Fraction:
-        return max(t - self.s, ZERO)
-
-    def uniform_mean(self) -> Fraction:
-        return (ONE - self.s) ** 2 / 2
+def _sum_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs over exactly the lcm of
+    their denominators, added pairwise in a balanced tree as _lcm is.  The
+    partial sums form a binary counter, (count, sum) with counts falling,
+    so at most one per power of two is held at a time."""
+    partial: list[tuple[int, tuple[int, int]]] = []
+    for total in pairs:
+        count = 1
+        while partial and partial[-1][0] == count:
+            count, total = 2 * count, _add_pairs(partial.pop()[1], total)
+        partial.append((count, total))
+    total = partial.pop()[1] if partial else (0, 1)
+    while partial:
+        total = _add_pairs(partial.pop()[1], total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +218,8 @@ class Functional:
     Atom i sits at position_pairs[i] and weighs weight_pairs[i], each a
     (numerator, denominator) int pair in lowest terms, in position order.
     t_scale (T) is the lcm of the position denominators and w_scale (W)
-    that of the weight denominators and uniform_weight's.  atoms and
-    positions() are Fraction views, built on each read.
+    that of the weight denominators and uniform_weight's.  atoms is a
+    Fraction view, built on each read.
 
     Build through make_functional / from_paper_convention, which enforce
     the invariants and normalize (merge coincident atoms, drop zeros).
@@ -243,9 +237,6 @@ class Functional:
             Atom(Fraction(*t), Fraction(*w)) for t, w in zip(self.position_pairs, self.weight_pairs)
         )
 
-    def positions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(*t) for t in self.position_pairs)
-
 
 def make_functional(
     atoms: Iterable[tuple[Rational, Rational]],
@@ -258,8 +249,8 @@ def make_functional(
     first bad atom, in input order, is the one reported.
 
     Each scalar is read once, to an int pair.  Atoms are ordered by an
-    exact integer key, the position over T, and the mass is summed as
-    one int over W.
+    exact integer key, the position over T, and the mass is summed
+    pairwise; the sum's denominator is W.
     """
     uniform = as_fraction(uniform_weight)
     if uniform.numerator < 0:
@@ -275,12 +266,7 @@ def make_functional(
         if w[0]:
             parsed.append((t, w))
     t_scale = _lcm({t[1] for t, _ in parsed})
-    w_scale = _lcm({uniform.denominator, *(w[1] for _, w in parsed)})
-    # one running int: W can have thousands of bits, so no scaled weight
-    # outlives its step of the loop
-    total = uniform.numerator * (w_scale // uniform.denominator)
-    for _, (num, den) in parsed:
-        total += num * (w_scale // den)
+    total, w_scale = _sum_pairs([(uniform.numerator, uniform.denominator), *(w for _, w in parsed)])
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
     keyed = sorted(((t[0] * (t_scale // t[1]), t, w) for t, w in parsed), key=itemgetter(0))
@@ -289,8 +275,7 @@ def make_functional(
     last_key = -1
     for key, t, w in keyed:
         if key == last_key:
-            (n1, d1), (n2, d2) = weights[-1], w
-            num, den = n1 * d2 + n2 * d1, d1 * d2
+            num, den = _add_pairs(weights[-1], w)
             common = gcd(num, den)
             weights[-1] = (num // common, den // common)
         else:
@@ -322,34 +307,19 @@ def from_paper_convention(
     return make_functional(mapped, uniform_weight)
 
 
-def barycenter(func: Functional) -> Fraction:
-    """First moment: sum w_i t_i + uniform/2."""
-    return (
-        sum((a.weight * a.position for a in func.atoms), start=ZERO)
-        + func.uniform_weight * HALF
-    )
-
-
-def evaluate(func: Functional, f: Hinge) -> Fraction:
-    """Apply the functional to a hinge, exactly."""
-    if not isinstance(f, Hinge):
-        raise UnsupportedTestFunction(f"{f!r} is not a hinge, the built-in test family")
-    total = sum((a.weight * f(a.position) for a in func.atoms), start=ZERO)
-    return total + func.uniform_weight * f.uniform_mean()
+def evaluate(func: Functional, s: Rational) -> Fraction:
+    """func applied to the hinge h_s, exactly; s is a rational in [0, 1].
+    The uniform mean of h_s is (1 - s)^2 / 2."""
+    s = as_fraction(s)
+    if not ZERO <= s <= ONE:
+        raise DomainError(f"hinge parameter {s} outside [0, 1]")
+    total = sum((a.weight * max(a.position - s, ZERO) for a in func.atoms), start=ZERO)
+    return total + func.uniform_weight * (ONE - s) ** 2 / 2
 
 
 # ---------------------------------------------------------------------------
 # JSON form
 # ---------------------------------------------------------------------------
-
-
-def functional_to_json(func: Functional) -> dict:
-    return {
-        "atoms": [
-            {"t": _show(t), "w": _show(w)} for t, w in zip(func.position_pairs, func.weight_pairs)
-        ],
-        "uniform": str(func.uniform_weight),
-    }
 
 
 # Reads one scalar of functional JSON: (field, value) -> value.

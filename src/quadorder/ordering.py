@@ -12,9 +12,11 @@ Two independent decision paths:
 
 Everything is exact: D is piecewise affine with rational data, G is
 piecewise quadratic, and the maximum of G is attained at a breakpoint or
-an interior vertex, all of which are rational.  A failed comparison comes
-with a machine-checkable witness: a hinge h_s whose gap re-evaluates to
-exactly the reported amount, or a linear map when the barycenters differ.
+an interior vertex, all of which are rational.  Both paths run on ints
+over the common denominators T and W of the two functionals.  A failed
+comparison comes with a machine-checkable witness: a hinge parameter s
+whose gap evaluate(a, s) - evaluate(b, s) is exactly the reported amount,
+or a linear map when the barycenters differ.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import Optional, Union
 from .functionals import (
     Functional,
     FunctionalError,
-    Hinge,
     ZERO,
-    ONE,
+    _add_pairs,
+    _sum_pairs,
     as_fraction,
     evaluate,
 )
@@ -94,12 +96,12 @@ class DiffFunction:
         D(t) = M_i + slope * t,
         G(s) = G(b_i) + D(b_i) (s - b_i) + slope * (s - b_i)^2 / 2,
 
-    and G(0) = 0.  max_g, g and crossing_profile each walk the
-    breakpoints once, carrying W M_i and the atoms' part of G as single
-    ints; g_end sums the jumps pairwise.  Each builds a Fraction only for
-    what it returns.  The Fraction tuples breakpoints, values (the right
-    limits D(b_i)), cumulative (G(b_i)) and the Fraction slope are built
-    when read; no decision reads them.
+    and G(0) = 0.  max_g and crossing_profile each walk the breakpoints
+    once, carrying W M_i and the atoms' part of G as single ints; g_end
+    sums the jumps pairwise.  Each builds a Fraction only for what it
+    returns.  The Fraction tuples breakpoints, values (the right limits
+    D(b_i)), cumulative (G(b_i)) and the Fraction slope are built when
+    read; no decision reads them.
     """
 
     t_scale: int
@@ -152,46 +154,19 @@ class DiffFunction:
         scale = self._g_scale()
         return tuple(Fraction(self._level(p, g), scale) for p, _, g in self._sweep())
 
-    def g(self, s: Fraction) -> Fraction:
-        """Exact G(s) = integral of D from 0 to s."""
-        if not ZERO <= s <= ONE:
-            raise ValueError(f"{s} outside [0, 1]")
-        sp, sq = s.numerator, s.denominator
-        t_scale = self.t_scale
-        target = sp * t_scale
-        p = mass = g = 0
-        for row in self._sweep():
-            if row[0] * sq > target:
-                break
-            p, mass, g = row
-        # G(s) = g / (W T) + M (s - p / T) + slope * s^2 / 2, over 2 W T q^2
-        num = 2 * sq * (sq * g + mass * (target - p * sq)) + self.slope_w * t_scale * sp * sp
-        return Fraction(num, 2 * self.w_scale * t_scale * sq * sq)
-
     def g_end(self) -> Fraction:
         """G(1) = slope / 2 + sum_j w_j (1 - t_j) over the jumps, which is
-        barycenter(b) - barycenter(a).
+        the barycenter of B minus that of A.
 
-        The jump terms are added in pairs, then pairs of pairs, each sum
-        over the lcm of its two denominators.  A walk of D would multiply
-        a T-sized int by a W-sized one at every breakpoint; with positions
-        on distinct primes near 10^5 both reach 10^4 bits, and the pairwise
-        sum is 5 to 13 times faster.  The partial sums form a binary
-        counter, (count, sum) with counts falling, so at most one per
-        power of two is held at a time.
+        The jump terms are summed pairwise (_sum_pairs).  A walk of D would
+        multiply a T-sized int by a W-sized one at every breakpoint; with
+        positions on distinct primes near 10^5 both reach 10^4 bits, and
+        the pairwise sum is 5 to 13 times faster.
         """
         t_scale = self.t_scale
-        partial: list[tuple[int, tuple[int, int]]] = []
-        for p, (num, den) in zip(self.points, self.jumps):
-            if num:
-                count, total = 1, (num * (t_scale - p), den)
-                while partial and partial[-1][0] == count:
-                    count, total = 2 * count, _add_over_lcm(partial.pop()[1], total)
-                partial.append((count, total))
-        total = (0, 1)
-        for _, term in reversed(partial):
-            total = _add_over_lcm(total, term)
-        num, den = total
+        num, den = _sum_pairs(
+            (n * (t_scale - p), d) for p, (n, d) in zip(self.points, self.jumps) if n
+        )
         # num / (den T) + slope / 2, over 2 W T; den divides W
         w_scale = self.w_scale
         return Fraction(2 * num * (w_scale // den) + self.slope_w * t_scale, 2 * w_scale * t_scale)
@@ -228,13 +203,6 @@ class DiffFunction:
         return Fraction(s_num, s_den), Fraction(best, best_den * self._g_scale())
 
 
-def _add_over_lcm(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """x + y for (numerator, denominator) pairs, over lcm of the denominators."""
-    (n1, d1), (n2, d2) = x, y
-    common = gcd(d1, d2)
-    return n1 * (d2 // common) + n2 * (d1 // common), d1 // common * d2
-
-
 def difference(a: Functional, b: Functional) -> DiffFunction:
     """Exact D = F_a - F_b and G on the merged breakpoint set.
 
@@ -259,8 +227,7 @@ def difference(a: Functional, b: Functional) -> DiffFunction:
     points, jumps = [0], [(0, 1)]
     for p, num, den in signed:
         if p == points[-1]:
-            last_num, last_den = jumps[-1]
-            num, den = last_num * den + num * last_den, last_den * den
+            num, den = _add_pairs(jumps[-1], (num, den))
             common = gcd(num, den)
             jumps[-1] = (num // common, den // common)
         else:
@@ -501,14 +468,12 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
     w = verdict.witness
     if isinstance(w, HingeWitness):
         try:
-            h = Hinge(w.s)
             gap = as_fraction(w.gap)
+            return gap > 0 and evaluate(a, w.s) - evaluate(b, w.s) == gap
         except FunctionalError:
             return False
-        return gap > 0 and evaluate(a, h) - evaluate(b, h) == gap
     if isinstance(w, LinearWitness):
-        h = Hinge(ZERO)
-        return w.direction in (-1, 1) and w.direction * (evaluate(a, h) - evaluate(b, h)) > 0
+        return w.direction in (-1, 1) and w.direction * (evaluate(a, 0) - evaluate(b, 0)) > 0
     return False
 
 

@@ -53,10 +53,14 @@ class ParamError(ValueError):
     """Parameters violate the family's hypotheses (open intervals, ordering, mass)."""
 
 
-def _open01(name: str, value: Fraction) -> Fraction:
-    if not 0 < value < 1:
-        raise ParamError(f"{name} = {value} must lie strictly inside (0, 1)")
-    return value
+def _read_open01(params: object) -> None:
+    """Coerce each field of a parameter record to a Fraction, in field
+    order, and check that it lies strictly inside (0, 1)."""
+    for name in params.__dataclass_fields__:
+        value = as_fraction(getattr(params, name))
+        if not 0 < value < 1:
+            raise ParamError(f"{name} = {value} must lie strictly inside (0, 1)")
+        object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,7 @@ class ThreeNodeLowerParams:
     alpha3: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "alpha1", "alpha2", "alpha3"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-            _open01(name, getattr(self, name))
+        _read_open01(self)
         if self.a1 + self.a2 + self.a3 != 1:
             raise ParamError("weights a1 + a2 + a3 must equal 1")
         if not self.alpha1 > self.alpha2 > self.alpha3:
@@ -108,9 +110,7 @@ class FourNodeUpperParams:
     alpha3: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("a1", "a2", "a3", "a4", "alpha2", "alpha3"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-            _open01(name, getattr(self, name))
+        _read_open01(self)
         if self.a1 + self.a2 + self.a3 + self.a4 != 1:
             raise ParamError("weights a1 + a2 + a3 + a4 must equal 1")
         if not self.alpha2 > self.alpha3:
@@ -131,9 +131,7 @@ class TwoVsThreeParams:
     b3: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("a", "alpha1", "alpha2", "beta", "b1", "b2", "b3"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-            _open01(name, getattr(self, name))
+        _read_open01(self)
         if self.b1 + self.b2 + self.b3 != 1:
             raise ParamError("weights b1 + b2 + b3 must equal 1")
         if not self.alpha1 > self.alpha2:

@@ -28,7 +28,6 @@ from quadorder import (
     DiffFunction,
     DomainError,
     Functional,
-    Hinge,
     HingeWitness,
     LinearWitness,
     MassError,
@@ -41,7 +40,6 @@ from quadorder import (
     UNIFORM,
     Verdict,
     as_fraction,
-    barycenter,
     evaluate,
     functional_pair,
     make_functional,
@@ -82,7 +80,7 @@ def reference_refine_grid(a: Functional, b: Functional) -> list[Fraction]:
     def mass_above(func: Functional, s: Fraction) -> Fraction:
         return sum((atom.weight for atom in func.atoms if atom.position > s), start=Fraction(0))
 
-    points = sorted({Fraction(0), Fraction(1), *a.positions(), *b.positions()})
+    points = sorted({Fraction(0), Fraction(1), *(x.position for x in (*a.atoms, *b.atoms))})
     grid = set(points)
     du = b.uniform_weight - a.uniform_weight
     for left, right in zip(points[:-1], points[1:]):
@@ -135,7 +133,7 @@ def reference_oracle_decide(
             gap += du * (ONE - s) ** 2 / 2
         if gap > max_violation:
             max_violation, worst_s = gap, s
-    linear_gap = evaluate(a, Hinge(ZERO)) - evaluate(b, Hinge(ZERO))
+    linear_gap = evaluate(a, 0) - evaluate(b, 0)
     for gap in (linear_gap, -linear_gap):
         if gap > max_violation:
             max_violation, worst_s = gap, None
@@ -410,7 +408,7 @@ def equal_mean_pair(rng: random.Random) -> tuple[Functional, Functional]:
     optional uniform part): the second one's two outermost weights are
     solved from the mass and barycenter equations."""
     first = rand_functional(rng)
-    target = barycenter(first)
+    target = evaluate(first, 0)
     while True:
         k = rng.randint(2, 6)
         den = rng.choice(DENOMINATORS)
@@ -450,7 +448,7 @@ def single_crossing_pair(rng: random.Random) -> tuple[Functional, Functional]:
         spread = rand_functional(rng)
         if len(spread.atoms) < 2 and spread.uniform_weight == 0:
             continue
-        center = barycenter(spread)
+        center = evaluate(spread, 0)
         point = make_functional([(center, 1)])
         if point != spread:
             return point, spread

@@ -15,24 +15,21 @@ from quadorder import (
     DomainError,
     Functional,
     FunctionalError,
-    Hinge,
     MIDPOINT,
     MassError,
     NegativeWeightError,
     SIMPSON,
     TRAPEZOID,
     UNIFORM,
-    UnsupportedTestFunction,
     as_fraction,
-    barycenter,
     difference,
     evaluate,
     from_paper_convention,
     functional_from_json,
-    functional_to_json,
     make_functional,
 )
 from quadorder.cli import eval_rational_expr
+from quadorder.functionals import _sum_pairs
 from helpers import (
     NUMBER_GRAMMAR,
     UNIT_AT_ONE,
@@ -54,20 +51,20 @@ import sys
 
 def test_single_atom_round_trip():
     f = make_functional([(F(1, 2), 1)])
-    assert f.positions() == (F(1, 2),)
+    assert [x.position for x in f.atoms] == [F(1, 2)]
     assert f.atoms[0].weight == 1
     assert f.uniform_weight == 0
 
 
 def test_coincident_atoms_merge_and_sort():
     f = make_functional([(F(3, 4), F(1, 2)), (F(1, 4), F(1, 3)), (F(1, 4), F(1, 6))])
-    assert f.positions() == (F(1, 4), F(3, 4))
+    assert [x.position for x in f.atoms] == [F(1, 4), F(3, 4)]
     assert [a.weight for a in f.atoms] == [F(1, 2), F(1, 2)]
 
 
 def test_zero_weights_dropped():
     f = make_functional([(F(1, 3), 0), (F(1, 2), 1)])
-    assert f.positions() == (F(1, 2),)
+    assert [x.position for x in f.atoms] == [F(1, 2)]
 
 
 def test_simpson_preset_shape():
@@ -81,6 +78,35 @@ def test_mass_error():
         make_functional([(F(1, 2), F(1, 2))])
     with pytest.raises(MassError):
         make_functional([(F(1, 2), 1)], uniform_weight=F(1, 10))
+
+
+def test_mass_error_names_the_exact_total():
+    # off by 1/W, W the lcm of the weight denominators: 1/2 + 1/3 + 1/7 = 41/42
+    for weights in ((F(1, 2), F(1, 3), F(1, 7)), (F(1, 2), F(1, 3), F(1, 5))):
+        total = sum(weights)
+        with pytest.raises(MassError, match=f"^total mass {total} != 1$"):
+            make_functional([(F(k, 3), w) for k, w in enumerate(weights)])
+    rng = random.Random("mass-4000")
+    weights = [F(1, 16 * rng.randint(100, 999)) for _ in range(3999)]
+    w_scale = lcm(*(w.denominator for w in weights))
+    for off in (F(-1, w_scale), F(1, w_scale)):
+        atoms = [(F(k, 4000), w) for k, w in enumerate([*weights, 1 - sum(weights) + off])]
+        with pytest.raises(MassError, match=f"^total mass {1 + off} != 1$"):
+            make_functional(atoms)
+
+
+def test_sum_pairs_matches_the_fraction_sum():
+    # every length from 0 to 70, so each carry of the binary counter at
+    # 2^k - 1, 2^k and 2^k + 1 terms occurs, with distinct denominators
+    # and with denominators that repeat
+    rng = random.Random("sum-pairs")
+    for n in range(71):
+        for dens in (rng.sample(range(1, 200), n), [rng.randint(1, 12) for _ in range(n)]):
+            pairs = [(rng.randint(-50, 50), d) for d in dens]
+            num, den = _sum_pairs(iter(pairs))
+            assert F(num, den) == sum((F(*p) for p in pairs), start=F(0))
+            # make_functional reads W off this denominator
+            assert den == lcm(*dens)
 
 
 def test_domain_error():
@@ -220,7 +246,7 @@ def test_make_functional_matches_the_fraction_reference():
         are the lcms of its own denominators."""
         if not isinstance(result, Functional):
             return result
-        assert result.t_scale == lcm(*(t.denominator for t in result.positions()))
+        assert result.t_scale == lcm(*(x.position.denominator for x in result.atoms))
         assert result.w_scale == lcm(
             result.uniform_weight.denominator, *(a.weight.denominator for a in result.atoms)
         )
@@ -244,18 +270,18 @@ def test_make_functional_matches_the_fraction_reference():
 
 def test_paper_convention_endpoint():
     f = from_paper_convention([(1, 1)])
-    assert f.positions() == (F(0),)
+    assert [x.position for x in f.atoms] == [F(0)]
 
 
 def test_paper_convention_three_nodes():
     f = from_paper_convention([(F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))])
-    assert f.positions() == (F(1, 4), F(1, 2), F(3, 4))
+    assert [x.position for x in f.atoms] == [F(1, 4), F(1, 2), F(3, 4)]
     assert [a.weight for a in f.atoms] == [F(1, 4), F(1, 2), F(1, 4)]
 
 
 def test_paper_convention_symmetric():
     f = from_paper_convention([(F(1, 2), F("0.9")), (F(1, 2), F(1, 10))])
-    assert f.positions() == (F(1, 10), F(9, 10))
+    assert [x.position for x in f.atoms] == [F(1, 10), F(9, 10)]
     assert [a.weight for a in f.atoms] == [F(1, 2), F(1, 2)]
 
 
@@ -300,21 +326,24 @@ def test_cdf_atom_at_one():
 
 
 # ---------------------------------------------------------------------------
-# barycenter / evaluate
+# evaluate; the barycenter is evaluate(f, 0), through h_0(t) = t
 # ---------------------------------------------------------------------------
 
 
 def test_barycenters():
-    assert barycenter(MIDPOINT) == F(1, 2)
-    assert barycenter(SIMPSON) == F(1, 2)
-    assert barycenter(make_functional([(F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))])) == F(1, 2)
-    assert barycenter(UNIFORM) == F(1, 2)
+    assert evaluate(MIDPOINT, 0) == F(1, 2)
+    assert evaluate(SIMPSON, 0) == F(1, 2)
+    assert evaluate(make_functional([(F(1, 10), F(1, 2)), (F(9, 10), F(1, 2))]), 0) == F(1, 2)
+    assert evaluate(UNIFORM, 0) == F(1, 2)
 
 
 def test_evaluate_hinge():
-    assert evaluate(MIDPOINT, Hinge(F(1, 2))) == 0
-    assert evaluate(UNIFORM, Hinge(F(1, 2))) == F(1, 8)
-    assert evaluate(TRAPEZOID, Hinge(F(1, 2))) == F(1, 4)
+    assert evaluate(MIDPOINT, F(1, 2)) == 0
+    assert evaluate(UNIFORM, F(1, 2)) == F(1, 8)
+    assert evaluate(TRAPEZOID, F(1, 2)) == F(1, 4)
+    # s is any rational, read as as_fraction reads it
+    assert evaluate(TRAPEZOID, "1/2") == evaluate(TRAPEZOID, "0.5") == F(1, 4)
+    assert evaluate(TRAPEZOID, 1) == 0
 
 
 def test_simpson_integrates_the_square_exactly():
@@ -324,13 +353,16 @@ def test_simpson_integrates_the_square_exactly():
 
 
 def test_evaluate_rejects_unknown_functions():
-    with pytest.raises(UnsupportedTestFunction):
-        evaluate(UNIFORM, lambda t: t**3)
+    # a hinge is named by a rational s; a callable or a float names none
+    for f in (lambda t: t**3, 0.5, True):
+        with pytest.raises(FunctionalError):
+            evaluate(UNIFORM, f)
 
 
 def test_hinge_parameter_domain():
-    with pytest.raises(DomainError):
-        Hinge(F(3, 2))
+    for s in (F(3, 2), F(-1, 2), "2"):
+        with pytest.raises(DomainError):
+            evaluate(UNIFORM, s)
 
 
 def test_uniform_hinge_mean_matches_numeric_quadrature():
@@ -347,7 +379,7 @@ def test_uniform_square_and_linear_means_match_numeric_quadrature():
     mids = [(k + 0.5) / n for k in range(n)]
     assert abs(sum(t * t for t in mids) / n - 1 / 3) < 1e-6
     assert abs(sum(mids) / n - 1 / 2) < 1e-9
-    assert evaluate(UNIFORM, Hinge(0)) == F(1, 2)
+    assert evaluate(UNIFORM, 0) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +389,14 @@ def test_uniform_square_and_linear_means_match_numeric_quadrature():
 
 def test_json_round_trip():
     f = make_functional([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 4))], F(1, 4))
-    blob = functional_to_json(f)
-    assert blob == {
-        "atoms": [{"t": "1/4", "w": "1/2"}, {"t": "3/4", "w": "1/4"}],
-        "uniform": "1/4",
-    }
+    blob = {"atoms": [{"t": "1/4", "w": "1/2"}, {"t": "3/4", "w": "1/4"}], "uniform": "1/4"}
     assert functional_from_json(blob) == f
 
 
 def test_json_paper_convention_form():
     blob = {"pairs": [{"alpha": "3/4", "a": "1/2"}, {"alpha": "1/4", "a": "1/2"}], "uniform": 0}
     f = functional_from_json(blob)
-    assert f.positions() == (F(1, 4), F(3, 4))
+    assert [x.position for x in f.atoms] == [F(1, 4), F(3, 4)]
 
 
 def test_json_integer_rationals_accepted():
@@ -402,7 +430,8 @@ def test_cdf_is_a_distribution_function(seed):
 @given(seeds)
 def test_barycenter_equals_linear_evaluation(seed):
     f = rand_functional(random.Random(seed))
-    assert barycenter(f) == evaluate(f, Hinge(0))
+    barycenter = sum((a.weight * a.position for a in f.atoms), start=F(0)) + f.uniform_weight / 2
+    assert barycenter == evaluate(f, 0)
 
 
 @given(seeds, st.integers(min_value=0, max_value=16))
@@ -411,10 +440,8 @@ def test_evaluate_is_affine_in_the_functional(seed, sixteenths):
     f, g = rand_functional(rng), rand_functional(rng)
     lam = F(sixteenths, 16)
     blend = mix(f, g, lam)
-    for test_fn in (Hinge(F(1, 3)), Hinge(0)):
-        assert evaluate(blend, test_fn) == lam * evaluate(f, test_fn) + (
-            1 - lam
-        ) * evaluate(g, test_fn)
+    for s in (F(1, 3), 0):
+        assert evaluate(blend, s) == lam * evaluate(f, s) + (1 - lam) * evaluate(g, s)
     assert second_moment(blend) == lam * second_moment(f) + (1 - lam) * second_moment(g)
 
 
@@ -427,4 +454,4 @@ def test_paper_convention_positions_are_one_minus_alpha(raw):
     pairs = [(w / total, alpha) for w, alpha in pairs]
     f = from_paper_convention(pairs)
     expected = sorted({1 - alpha for _, alpha in pairs})
-    assert list(f.positions()) == expected
+    assert [x.position for x in f.atoms] == expected

@@ -24,11 +24,11 @@ from quadorder import (
     TRAPEZOID,
     UNIFORM,
     Verdict,
-    barycenter,
     crossing_profile,
     decide,
     decide_lemma,
     difference,
+    evaluate,
     make_functional,
     verify_witness,
 )
@@ -65,8 +65,8 @@ def test_difference_midpoint_vs_uniform():
     assert d_value(d, F(1, 2)) == F(1, 2)
     assert d_value(d, F(3, 4)) == F(1, 4)
     # G(s) = -s^2/2 on the first leg, back to 0 at 1
-    assert d.g(F(1, 4)) == F(-1, 32)
-    assert d.g(F(1, 2)) == F(-1, 8)
+    assert d.cumulative == (0, F(-1, 8), 0)
+    assert reference_difference(MIDPOINT, UNIFORM).g(F(1, 4)) == F(-1, 32)
     assert d.g_end() == 0
 
 
@@ -106,7 +106,7 @@ def test_g_end_is_barycenter_gap():
     rng = random.Random(7)
     for _ in range(50):
         a, b = rand_functional(rng), rand_functional(rng)
-        assert difference(a, b).g_end() == barycenter(b) - barycenter(a)
+        assert difference(a, b).g_end() == evaluate(b, 0) - evaluate(a, 0)
 
 
 def test_g_is_continuous_at_breakpoints():
@@ -172,7 +172,7 @@ def test_profile_touch_without_crossing():
     # F of the two-atom rule touches the ramp at t = 1/4 (atom weight equals
     # the position) without changing sign there: a single crossing remains.
     a = make_functional([(F(1, 4), F(1, 4)), (F(7, 12), F(3, 4))])
-    assert barycenter(a) == F(1, 2)
+    assert evaluate(a, 0) == F(1, 2)
     p = crossing_profile(difference(a, UNIFORM))
     assert p.crossing_points == (F(7, 12),)
     assert p.initial_sign == -1
@@ -254,6 +254,18 @@ def test_verify_witness_rejects_forged_witnesses():
     # So is a witness whose fields are not rationals.
     for forged in (HingeWitness("x", F(1)), HingeWitness(None, F(1)), HingeWitness(F(1, 2), "y")):
         assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, forged))
+    # Fields are read as as_fraction reads them: a string is a rational, a
+    # float or a bool is not.
+    for s, gap, verified in (
+        ("1/2", F(1, 4), True),
+        (F(1, 2), "1/4", True),
+        ("1/2", "1/4", True),
+        (0.5, F(1, 4), False),
+        (F(1, 2), 0.25, False),
+        (True, F(1, 4), False),
+        (F(1, 2), True, False),
+    ):
+        assert verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(s, gap))) is verified
     # A verdict that holds carries no witness; one that fails carries one.
     assert verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS))
     assert not verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS, HingeWitness(F(1, 2), F(1, 8))))
@@ -399,14 +411,14 @@ def _reflected(f):
 
 
 def test_max_g_breaks_a_vertex_breakpoint_tie_toward_the_smaller_s():
-    d = difference(TIE_A, TIE_B)
+    d, ref = difference(TIE_A, TIE_B), reference_difference(TIE_A, TIE_B)
     assert d.slope < 0
-    assert d.max_g() == (F(7, 32), F(819, 16384)) == reference_difference(TIE_A, TIE_B).max_g()
-    assert d.g(F(37, 96)) == F(819, 16384)  # the vertex
+    assert d.max_g() == (F(7, 32), F(819, 16384)) == ref.max_g()
+    assert ref.g(F(37, 96)) == F(819, 16384)  # the vertex
     a, b = _reflected(TIE_A), _reflected(TIE_B)
     d = difference(a, b)
     assert d.max_g() == (F(59, 96), F(819, 16384)) == reference_difference(a, b).max_g()
-    assert d.g(F(25, 32)) == F(819, 16384)  # the breakpoint
+    assert d.cumulative[d.breakpoints.index(F(25, 32))] == F(819, 16384)  # the breakpoint
     for a, b in ((TIE_A, TIE_B), (a, b)):
         assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
 
@@ -429,8 +441,6 @@ def test_integer_core_matches_the_fraction_reference(family):
         )
         assert (d.is_zero(), d.g_end()) == (ref.is_zero(), ref.g_end())
         assert d.max_g() == ref.max_g()
-        probes = {F(0), F(1), d.breakpoints[len(d.breakpoints) // 2], F(rng.randint(0, 997), 997)}
-        assert [d.g(s) for s in probes] == [ref.g(s) for s in probes]
         assert _outcome(crossing_profile, d) == _outcome(reference_crossing_profile, ref)
         want = reference_decide(a, b, diagnose=True)
         assert decide(a, b, diagnose=True) == want

@@ -15,15 +15,15 @@ from quadorder import functionals, oracle, ordering, theorems
 PUBLIC_NAMES = [
     "Atom", "CaseCheck", "CrossingProfile", "DegenerateDifference", "DiffFunction",
     "DomainError", "EQUAL", "FAILS", "FourNodeUpperParams", "Functional",
-    "FunctionalError", "HOLDS", "Hinge", "HingeWitness", "InternalDisagreement",
+    "FunctionalError", "HOLDS", "HingeWitness", "InternalDisagreement",
     "LinearWitness", "MIDPOINT", "MassError", "MeansDiffer", "NegativeWeightError",
     "OracleReport", "OrderingError", "PRESETS", "ParamError", "Rational", "SIMPSON",
     "TRAPEZOID", "TheoremParams", "ThreeNodeLowerParams", "TwoVsThreeParams", "UNIFORM",
-    "UnsupportedTestFunction", "Verdict", "as_fraction", "barycenter",
+    "Verdict", "as_fraction",
     "check_four_node_upper", "check_params", "check_three_node_lower",
     "check_two_vs_three", "crossing_profile", "decide", "decide_lemma", "difference",
     "evaluate", "from_paper_convention", "functional_from_json", "functional_pair",
-    "functional_to_json", "make_functional", "oracle_decide", "params_from_json",
+    "make_functional", "oracle_decide", "params_from_json",
     "params_to_json", "refine_grid", "verdict_to_json", "verify_witness",
 ]
 

@@ -13,13 +13,13 @@ from quadorder import (
     ThreeNodeLowerParams,
     TwoVsThreeParams,
     UNIFORM,
-    barycenter,
     check_four_node_upper,
     check_three_node_lower,
     check_two_vs_three,
     crossing_profile,
     decide,
     difference,
+    evaluate,
     functional_pair,
     params_from_json,
     params_to_json,
@@ -67,6 +67,35 @@ def test_three_node_rejects_degenerate_params():
         ThreeNodeLowerParams(F(1, 2), F(1, 4), F(1, 4), F(1, 2), F(1, 2), F(1, 4))
     with pytest.raises(ParamError):
         ThreeNodeLowerParams(F(1, 2), F(1, 4), F(1, 2), F(3, 4), F(1, 2), F(1, 4))
+
+
+def test_param_records_report_the_first_bad_field():
+    # Fields are read in declaration order, each coerced and then checked
+    # against (0, 1), before the sum and ordering checks.
+    q, h, out = F(1, 4), F(1, 2), "must lie strictly inside (0, 1)"
+    left = (h, F(3, 5), F(2, 5))  # a, alpha1, alpha2 of a valid two-vs-three record
+    cases = [
+        (ThreeNodeLowerParams, (h, q, q, 1, h, q), f"alpha1 = 1 {out}"),
+        (ThreeNodeLowerParams, (h, 0, q, q, h, 2), f"a2 = 0 {out}"),
+        (ThreeNodeLowerParams, ("x", 0, q, q, h, q),
+         "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+        (ThreeNodeLowerParams, (h, q, h, F(3, 4), h, 5), f"alpha3 = 5 {out}"),
+        (ThreeNodeLowerParams, (h, q, h, F(3, 4), h, q), "weights a1 + a2 + a3 must equal 1"),
+        (ThreeNodeLowerParams, (h, q, q, h, h, q), "need alpha1 > alpha2 > alpha3"),
+        (FourNodeUpperParams, (q, q, q, 0, h, q), f"a4 = 0 {out}"),
+        (FourNodeUpperParams, (q, q, q, h, h, q), "weights a1 + a2 + a3 + a4 must equal 1"),
+        (FourNodeUpperParams, (q, q, q, q, q, h), "need 1 > alpha2 > alpha3 > 0"),
+        (TwoVsThreeParams, (*left, 0.5, q, h, q),
+         "not an exact rational: 0.5 (floats are rejected; use 'p/q' strings)"),
+        (TwoVsThreeParams, (*left, h, q, h, 1), f"b3 = 1 {out}"),
+        (TwoVsThreeParams, (*left, h, q, h, h), "weights b1 + b2 + b3 must equal 1"),
+        (TwoVsThreeParams, (h, F(2, 5), F(3, 5), h, q, h, q),
+         "need alpha1 > alpha2 (distinct left-side nodes)"),
+    ]
+    for record, args, message in cases:
+        with pytest.raises(ValueError) as caught:  # ParamError, or FunctionalError from as_fraction
+            record(*args)
+        assert str(caught.value) == message, (record.__name__, args)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +159,7 @@ def test_pair_three_node_lower():
     rule, mean = functional_pair(
         ThreeNodeLowerParams(F(1, 4), F(1, 2), F(1, 4), F(3, 4), F(1, 2), F(1, 4))
     )
-    assert rule.positions() == (F(1, 4), F(1, 2), F(3, 4))
+    assert [x.position for x in rule.atoms] == [F(1, 4), F(1, 2), F(3, 4)]
     assert mean == UNIFORM
 
 
@@ -139,14 +168,14 @@ def test_pair_four_node_upper_includes_endpoints():
         FourNodeUpperParams(F(1, 4), F(1, 4), F(1, 4), F(1, 4), F(3, 4), F(1, 4))
     )
     assert mean == UNIFORM
-    assert rule.positions() == (F(0), F(1, 4), F(3, 4), F(1))
+    assert [x.position for x in rule.atoms] == [F(0), F(1, 4), F(3, 4), F(1)]
 
 
 def test_pair_two_vs_three_simpson_shape():
     two, three = functional_pair(
         TwoVsThreeParams(F(1, 2), F(2, 3), F(1, 3), F(1, 2), F(1, 6), F(2, 3), F(1, 6))
     )
-    assert two.positions() == (F(1, 3), F(2, 3))
+    assert [x.position for x in two.atoms] == [F(1, 3), F(2, 3)]
     assert [a.weight for a in three.atoms] == [F(1, 6), F(2, 3), F(1, 6)]
 
 
@@ -158,7 +187,7 @@ def test_mean_ok_iff_barycenters_match():
         for _ in range(60):
             params = sampler(rng)
             a, b = functional_pair(params)
-            assert check_params(params).mean_ok == (barycenter(a) == barycenter(b))
+            assert check_params(params).mean_ok == (evaluate(a, 0) == evaluate(b, 0))
 
 
 # ---------------------------------------------------------------------------
