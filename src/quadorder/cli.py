@@ -42,7 +42,6 @@ from .oracle import oracle_decide, refine_grid
 from .ordering import (
     FAILS,
     InternalDisagreement,
-    Verdict,
     decide,
     verdict_to_json,
     verify_witness,
@@ -179,11 +178,18 @@ def eval_rational_expr(text: str, env: Optional[dict[str, Fraction]] = None) -> 
 
 
 @dataclass(frozen=True)
-class Range:
+class Param:
+    """One parameter of a named family: its default, its valid range
+    between lo and hi (each end open unless marked closed), and
+    fail_toward, the direction ("high" or "low") along which holds
+    eventually gives way to fails, or None when the family declares none."""
+
+    default: Fraction
     lo: Fraction
     hi: Fraction
     lo_closed: bool = False
     hi_closed: bool = False
+    fail_toward: Optional[str] = None
 
     def contains(self, v: Fraction) -> bool:
         if v < self.lo or v > self.hi:
@@ -206,21 +212,19 @@ class Family:
 
     lhs and rhs are each a preset name or a functional template in the
     --lhs/--rhs syntax, whose scalars are expressions in the parameters.
-    label is a template of a theorems parameter record (the shape
-    params_to_json emits) whose case label a scan reports, or None.
-    defaults is ordered and gives the scan columns; fail_toward names the
-    direction along which holds eventually gives way to fails, used only
-    to report a range cap when every grid point holds.  A custom family
+    params is ordered and gives the scan columns; each Param holds the
+    parameter's default, valid range and fail direction, the last used
+    only to report a range cap when every grid point holds.  label is a
+    template of a theorems parameter record (the shape params_to_json
+    emits) whose case label a scan reports, or None.  A custom family
     carries lhs and rhs alone.
     """
 
     name: str
     lhs: object
     rhs: object
-    defaults: dict[str, Fraction] = field(default_factory=dict)
-    ranges: dict[str, Range] = field(default_factory=dict)
+    params: dict[str, Param] = field(default_factory=dict)
     label: Optional[dict[str, str]] = None
-    fail_toward: dict[str, str] = field(default_factory=dict)
 
     def build(self, params: dict[str, Fraction]) -> tuple[Functional, Functional]:
         return _build_side(self.lhs, params), _build_side(self.rhs, params)
@@ -235,70 +239,57 @@ FAMILIES: dict[str, Family] = {
         name="symmetric3",
         lhs=_atoms(("1-alpha", "a"), ("1/2", "1-2*a"), ("alpha", "a")),
         rhs="uniform",
-        defaults={"a": Fraction(1, 4), "alpha": Fraction(3, 4)},
-        ranges={
-            "a": Range(ZERO, HALF),
-            "alpha": Range(HALF, ONE),
+        params={
+            "a": Param(Fraction(1, 4), ZERO, HALF, fail_toward="high"),
+            "alpha": Param(Fraction(3, 4), HALF, ONE, fail_toward="high"),
         },
         label={"family": "three-node-lower", "a1": "a", "a2": "1-2*a", "a3": "a",
                "alpha1": "alpha", "alpha2": "1/2", "alpha3": "1-alpha"},
-        fail_toward={"a": "high", "alpha": "high"},
     ),
     "endpoint4": Family(
         name="endpoint4",
         lhs="uniform",
         rhs=_atoms(("0", "a"), ("1-alpha", "1/2-a"), ("alpha", "1/2-a"), ("1", "a")),
-        defaults={"a": Fraction(1, 4), "alpha": Fraction(3, 4)},
-        ranges={
-            "a": Range(ZERO, HALF),
-            "alpha": Range(HALF, ONE),
+        params={
+            "a": Param(Fraction(1, 4), ZERO, HALF, fail_toward="low"),
+            "alpha": Param(Fraction(3, 4), HALF, ONE, fail_toward="low"),
         },
         label={"family": "four-node-upper", "a1": "a", "a2": "1/2-a", "a3": "1/2-a",
                "a4": "a", "alpha2": "alpha", "alpha3": "1-alpha"},
-        fail_toward={"a": "low", "alpha": "low"},
     ),
     "twoVsThree": Family(
         name="twoVsThree",
         lhs=_atoms(("1-alpha", "1/2"), ("alpha", "1/2")),
         rhs=_atoms(("0", "b1"), ("1/2", "b2"), ("1", "b3")),
-        defaults={
-            "alpha": Fraction(3, 5),
-            "b1": Fraction(1, 6),
-            "b2": Fraction(2, 3),
-            "b3": Fraction(1, 6),
-        },
-        ranges={
-            "alpha": Range(HALF, ONE),
-            "b1": Range(ZERO, ONE),
-            "b2": Range(ZERO, ONE),
-            "b3": Range(ZERO, ONE),
+        params={
+            "alpha": Param(Fraction(3, 5), HALF, ONE, fail_toward="high"),
+            "b1": Param(Fraction(1, 6), ZERO, ONE),
+            "b2": Param(Fraction(2, 3), ZERO, ONE),
+            "b3": Param(Fraction(1, 6), ZERO, ONE),
         },
         label={"family": "two-vs-three", "a": "1/2", "alpha1": "alpha", "alpha2": "1-alpha",
                "beta": "1/2", "b1": "b1", "b2": "b2", "b3": "b3"},
-        fail_toward={"alpha": "high"},
     ),
     "bp1": Family(
         name="bp1",
         lhs="uniform",
         rhs=_atoms(("0", "1/4"), ("x", "1/4"), ("1-x", "1/4"), ("1", "1/4")),
-        defaults={"x": Fraction(1, 4)},
-        ranges={"x": Range(ZERO, HALF, lo_closed=True, hi_closed=True)},
+        params={"x": Param(Fraction(1, 4), ZERO, HALF, True, True, fail_toward="high")},
         # At x = 0 and x = 1/2 the record is degenerate (ParamError): no label.
         label={"family": "four-node-upper", "a1": "1/4", "a2": "1/4", "a3": "1/4",
                "a4": "1/4", "alpha2": "1-x", "alpha3": "x"},
-        fail_toward={"x": "high"},
     ),
 }
 
 
 def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None:
     for name, value in params.items():
-        rng = family.ranges.get(name)
-        if rng is None:
+        param = family.params.get(name)
+        if param is None:
             raise CLIError(f"family {family.name} has no parameter {name!r}")
-        if not rng.contains(value):
+        if not param.contains(value):
             raise CLIError(
-                f"{name} = {value} outside the valid range {rng.describe()} "
+                f"{name} = {value} outside the valid range {param.describe()} "
                 f"for family {family.name}"
             )
 
@@ -360,7 +351,7 @@ def _make_scan_spec(
         raise CLIError(f"sweep step must be positive, got {step}")
     if stop < start:
         raise CLIError(f"sweep stop {stop} is below start {start}")
-    fixed = dict(family.defaults)
+    fixed = {key: param.default for key, param in family.params.items()}
     for fix in fix_args:
         if "=" not in fix:
             raise CLIError("--fix must look like name=value")
@@ -368,7 +359,7 @@ def _make_scan_spec(
         fixed[key.strip()] = eval_rational_expr(value_text)
     fixed.pop(name, None)
     spec = ScanSpec(family, name, start, stop, step, fixed)
-    if family.ranges:
+    if family.params:
         for value in spec.grid():
             _validate_family_params(family, spec.params_at(value))
     return spec
@@ -433,10 +424,11 @@ def run_threshold(
     Scans the grid, checks monotonicity, brackets the switch (probing
     between the grid edge and the valid-range bound when every grid
     point holds), then refines the bracket by rational bisection until
-    at most one rational with denominator <= max_denominator fits,
-    takes it (the midpoint's best approximation within the limit) and
-    confirms it against one fresh probe on the side its own verdict does
-    not decide; when none fits, the holds end is reported inexact.
+    at most one rational with denominator <= max_denominator fits, and
+    takes it (the midpoint's best approximation within the limit).  It
+    is exact only when it holds and a fresh probe halfway to the failing
+    end fails; otherwise the highest point known to hold is reported
+    inexact.
 
     The search runs in u = sign * v, where sign is +1 when the holds-region
     lies below the switch and -1 when it lies above, so the holds side is
@@ -495,16 +487,15 @@ def run_threshold(
         # valid-range bound: any boundary representable within the denominator
         # limit lies at least 1/(max_denominator * bound.denominator) inside
         # the bound, so one probe either brackets it or rules it out.
-        toward = family.fail_toward.get(spec.sweep)
-        if toward is None:
+        param = family.params.get(spec.sweep)
+        if param is None or param.fail_toward is None:
             raise NonMonotoneRegion(
                 f"every grid point holds and family {family.name!r} declares no "
                 f"fail direction for {spec.sweep!r}; widen the grid"
             )
-        rng = family.ranges[spec.sweep]
-        sign = 1 if toward == "high" else -1
+        sign = 1 if param.fail_toward == "high" else -1
         # The range end toward higher u, in u.
-        bound, closed = max((sign * rng.lo, rng.lo_closed), (sign * rng.hi, rng.hi_closed))
+        bound, closed = max((sign * param.lo, param.lo_closed), (sign * param.hi, param.hi_closed))
         if closed and holds(sign * bound):
             return report(bound, True, True, "range-cap")
         edge = max(sign * v for v in grid)
@@ -527,20 +518,18 @@ def run_threshold(
             lo = mid
         else:
             hi = mid
-    # A rational that fits is the midpoint's closest one within the limit;
-    # when none fits, both ends are already decided.
+    # A rational that fits is the midpoint's closest one within the limit.
+    # The holds-set is closed, so a failing candidate is not the boundary,
+    # and a candidate whose probe toward hi also holds lies below it.  An
+    # irrational boundary between a holding candidate and its failing probe
+    # still passes as exact.
     candidate = ((lo + hi) / 2).limit_denominator(max_denominator)
-    if not lo <= candidate <= hi:
+    if not (lo <= candidate <= hi and holds(sign * candidate)):
         return report(lo, True, False, "refined")
-    attained = holds(sign * candidate)
-    # Confirm with a fresh probe strictly on the side the candidate does not
-    # decide: toward hi (must fail) when it holds, toward lo (must hold) when not.
-    probe = (candidate + (hi if attained else lo)) / 2
-    if probe != candidate and holds(sign * probe) == attained:
-        raise NonMonotoneRegion(
-            f"holds-region is not monotone inside the bracket around {sign * candidate}"
-        )
-    return report(candidate, attained, True, "refined")
+    probe = (candidate + hi) / 2
+    if holds(sign * probe):
+        return report(probe, True, False, "refined")
+    return report(candidate, True, True, "refined")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +540,7 @@ def run_threshold(
 def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
     """One row per grid point: parameters, holds, case label, witness s."""
     family = spec.family
-    columns = list(family.defaults) or [spec.sweep, *sorted(spec.fixed)]
+    columns = list(family.params) or [spec.sweep, *sorted(spec.fixed)]
     header = columns + ["holds", "case", "witness_s"]
     rows = []
     for value in spec.grid():
@@ -576,8 +565,8 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
 # Agreement fuzzing: case checkers vs. decider vs. oracle
 # ---------------------------------------------------------------------------
 
-THEOREM_IDS = ("three-node-lower", "four-node-upper", "two-vs-three")
-
+# Each is at least 8, so (0, 1/2), (1/2, 1) and (0, 1) hold a lattice
+# point for every one: a draw from those fixed intervals is never None.
 _DENOMINATORS = (8, 9, 10, 12, 16, 18, 20, 24, 30, 32, 40, 48, 60)
 
 
@@ -602,8 +591,6 @@ def _sample_three_node_lower(rng: random.Random) -> ThreeNodeLowerParams:
     while True:
         alpha1 = _rand_fraction(rng, HALF, ONE)
         alpha3 = _rand_fraction(rng, ZERO, HALF)
-        if alpha1 is None or alpha3 is None:
-            continue
         alpha2 = _rand_fraction(rng, alpha3, alpha1)
         if alpha2 is None:
             continue
@@ -621,8 +608,6 @@ def _sample_four_node_upper(rng: random.Random) -> FourNodeUpperParams:
     # below 1/2 and a2 below (1/2 - a1)/alpha2.
     while True:
         alpha2 = _rand_fraction(rng, ZERO, ONE)
-        if alpha2 is None:
-            continue
         alpha3 = _rand_fraction(rng, ZERO, alpha2)
         a1 = _rand_fraction(rng, ZERO, HALF)
         if alpha3 is None or a1 is None:
@@ -642,12 +627,10 @@ def _sample_two_vs_three(rng: random.Random) -> TwoVsThreeParams:
     # min(M/(1-beta), (1-M)/beta).
     while True:
         alpha1 = _rand_fraction(rng, ZERO, ONE)
-        if alpha1 is None:
-            continue
         alpha2 = _rand_fraction(rng, ZERO, alpha1)
         beta = _rand_fraction(rng, ZERO, ONE)
         a = _rand_fraction(rng, ZERO, ONE)
-        if None in (alpha2, beta, a):
+        if alpha2 is None:
             continue
         mean = a * (1 - alpha1) + (1 - a) * (1 - alpha2)
         b2 = _rand_fraction(rng, ZERO, min(ONE, mean / (1 - beta), (1 - mean) / beta))
@@ -664,6 +647,8 @@ _SAMPLERS: dict[str, Callable[[random.Random], TheoremParams]] = {
     "four-node-upper": _sample_four_node_upper,
     "two-vs-three": _sample_two_vs_three,
 }
+
+THEOREM_IDS = tuple(_SAMPLERS)
 
 
 @dataclass
@@ -689,7 +674,6 @@ class AgreementSummary:
 def _disagreement_record(
     params: TheoremParams,
     check: CaseCheck,
-    verdict: Verdict,
     oracle_clean: bool,
     a: Functional,
     b: Functional,
@@ -737,9 +721,7 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
         else:
             fails_count += 1
         if not (check.mean_ok and check.holds == verdict.holds == oracle_clean):
-            disagreements.append(
-                _disagreement_record(params, check, verdict, oracle_clean, a, b)
-            )
+            disagreements.append(_disagreement_record(params, check, oracle_clean, a, b))
     return AgreementSummary(theorem, samples, seed, holds_count, fails_count, disagreements)
 
 

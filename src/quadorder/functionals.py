@@ -130,7 +130,8 @@ def _read_rational(text: str) -> tuple[int, int]:
 
 def _as_pair(value: Rational) -> tuple[int, int]:
     """An int, string or Fraction as (numerator, denominator) in lowest
-    terms.  Floats and bools are refused."""
+    terms.  Floats and bools are refused; a list or a dict is refused by
+    its type and never printed, since it may nest too deep to print."""
     if isinstance(value, str):
         return _read_rational(value)
     if isinstance(value, Fraction):
@@ -139,6 +140,8 @@ def _as_pair(value: Rational) -> tuple[int, int]:
         raise FunctionalError(f"not a rational value: {value!r}")
     if isinstance(value, int):
         return int(value), 1
+    if isinstance(value, (dict, list)):
+        raise FunctionalError(f"not a rational: got {type(value).__name__}")
     raise FunctionalError(
         f"not an exact rational: {value!r} (floats are rejected; use 'p/q' strings)"
     )
@@ -330,16 +333,8 @@ def _as_given(field: str, value: object) -> object:
     return value
 
 
-def _scalar(field: str, value: object, scalar: ScalarMap) -> object:
-    """scalar(field, value); a list or an object is refused by its type and
-    never printed, since it may nest too deep to print."""
-    if isinstance(value, (dict, list)):
-        raise FunctionalError(f"{field!r} must be a rational, got {type(value).__name__}")
-    return scalar(field, value)
-
-
 def _json_entries(obj: dict, key: str, fields: tuple[str, str], scalar: ScalarMap) -> list:
-    """The (fields[0], fields[1]) values, read through _scalar, of every
+    """The (fields[0], fields[1]) values, read through scalar, of every
     entry of obj[key], which must be a list of objects carrying both fields."""
     entries = obj[key]
     if not isinstance(entries, list):
@@ -352,7 +347,7 @@ def _json_entries(obj: dict, key: str, fields: tuple[str, str], scalar: ScalarMa
         for field in fields:
             if field not in entry:
                 raise FunctionalError(f"a '{key}' entry has no {field!r} key")
-        out.append([_scalar(field, entry[field], scalar) for field in fields])
+        out.append([scalar(field, entry[field]) for field in fields])
     return out
 
 
@@ -366,7 +361,7 @@ def functional_from_json(obj: object, scalar: ScalarMap = _as_given) -> Function
     scalar(field, value), field being "t", "w", "a", "alpha" or "uniform"."""
     if not isinstance(obj, dict):
         raise FunctionalError(f"functional JSON must be an object, got {type(obj).__name__}")
-    uniform = _scalar("uniform", obj.get("uniform", 0), scalar)
+    uniform = scalar("uniform", obj.get("uniform", 0))
     if "atoms" in obj and "pairs" in obj:
         raise FunctionalError("functional JSON cannot carry both 'atoms' and 'pairs'")
     if "atoms" in obj:

@@ -99,9 +99,8 @@ class DiffFunction:
     and G(0) = 0.  max_g and crossing_profile each walk the breakpoints
     once, carrying W M_i and the atoms' part of G as single ints; g_end
     sums the jumps pairwise.  Each builds a Fraction only for what it
-    returns.  The Fraction tuples breakpoints, values (the right limits
-    D(b_i)), cumulative (G(b_i)) and the Fraction slope are built when
-    read; no decision reads them.
+    returns.  The Fraction tuples breakpoints and cumulative (G(b_i)) are
+    built when read; no decision reads them.
     """
 
     t_scale: int
@@ -139,15 +138,6 @@ class DiffFunction:
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(p, self.t_scale) for p in self.points)
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.slope_w, self.w_scale)
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        t_scale, slope_w, wt = self.t_scale, self.slope_w, self.w_scale * self.t_scale
-        return tuple(Fraction(mass * t_scale + slope_w * p, wt) for p, mass, _ in self._sweep())
 
     @property
     def cumulative(self) -> tuple[Fraction, ...]:

@@ -53,16 +53,31 @@ from quadorder.ordering import _lemma_verdict
 UNIT_AT_ONE = make_functional([(1, 1)])
 
 
+def d_slope(d: DiffFunction) -> Fraction:
+    """D's one slope, slope_w / W."""
+    return Fraction(d.slope_w, d.w_scale)
+
+
+def d_values(d: DiffFunction) -> tuple[Fraction, ...]:
+    """D(b_i), the right limit at each breakpoint, from the int fields on
+    Fractions: the jumps summed up to b_i, plus slope * b_i."""
+    slope, mass, values = d_slope(d), ZERO, []
+    for p, jump in zip(d.points, d.jumps):
+        mass += Fraction(*jump)
+        values.append(mass + slope * Fraction(p, d.t_scale))
+    return tuple(values)
+
+
 def d_value(d: DiffFunction, t: Fraction) -> Fraction:
     """D(t), right-continuous at breakpoints, read from the flat fields."""
     i = bisect.bisect_right(d.breakpoints, t) - 1
-    return d.values[i] + d.slope * (t - d.breakpoints[i])
+    return d_values(d)[i] + d_slope(d) * (t - d.breakpoints[i])
 
 
 def d_left_limit(d: DiffFunction, t: Fraction) -> Fraction:
     """Limit of D from the left at t in (0, 1]."""
     i = bisect.bisect_left(d.breakpoints, t) - 1
-    return d.values[i] + d.slope * (t - d.breakpoints[i])
+    return d_values(d)[i] + d_slope(d) * (t - d.breakpoints[i])
 
 
 def mix(a: Functional, b: Functional, lam: Fraction) -> Functional:

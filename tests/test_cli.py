@@ -5,16 +5,28 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from quadorder import FAILS, Verdict, cli, functional_pair, ordering, params_from_json
+from quadorder import (
+    FAILS,
+    ParamError,
+    Verdict,
+    cli,
+    decide,
+    functional_pair,
+    ordering,
+    params_from_json,
+    params_to_json,
+)
 from quadorder.cli import (
     FAMILIES,
     MAX_GRID_POINTS,
     Family,
-    Range,
+    NonMonotoneRegion,
+    Param,
     ScanSpec,
     _case_label,
     _make_scan_spec,
@@ -23,6 +35,7 @@ from quadorder.cli import (
     run_threshold,
 )
 from helpers import simplest_between
+from test_golden import CORPUS
 
 
 def run(capsys, *argv):
@@ -137,6 +150,8 @@ def test_check_bad_inputs_exit_2(capsys):
         ["check", '{"atoms": "x"}', "uniform"],
         ["check", '{"pairs": [[1,2]]}', "uniform"],
         ["check", "--interval", "0", "2", '{"atoms": [{"w": "1"}]}', "uniform"],
+        ["check", "midpoint"],
+        ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/4", "--fix", "x"],
         [
             "scan", "--family", "custom",
             "--lhs", '{"atoms":[{"t":"p","w":"1"}]}',
@@ -398,6 +413,20 @@ def test_threshold_nothing_holds_is_an_error(capsys):
     assert "no grid point holds" in err
 
 
+def test_threshold_two_switches_is_an_error():
+    # Two atoms at p and 1-p against uniform hold only for 1/4 <= p <= 3/4.
+    family = Family(
+        name="two-switches",
+        lhs={"atoms": [{"t": "p", "w": "1/2"}, {"t": "1-p", "w": "1/2"}]},
+        rhs="uniform",
+        params={"p": Param(F(0), F(0), F(1), lo_closed=True, hi_closed=True)},
+    )
+    with pytest.raises(NonMonotoneRegion) as raised:
+        run_threshold(_make_scan_spec(family, "p=0:1:1/10", []))
+    flags = "['F', 'F', 'F', 'H', 'H', 'H', 'H', 'H', 'F', 'F', 'F']"
+    assert str(raised.value) == f"holds/fails switches more than once along p: {flags}"
+
+
 def test_threshold_rejects_out_of_range_grid(capsys):
     code, _, err = run(
         capsys,
@@ -413,9 +442,8 @@ def test_threshold_rejects_out_of_range_grid(capsys):
 def test_threshold_range_cap_attained_at_a_closed_bound():
     # No named family closes the range bound on its fail side.
     endpoint4 = FAMILIES["endpoint4"]
-    family = dataclasses.replace(
-        endpoint4, ranges={**endpoint4.ranges, "alpha": Range(F(1, 2), F(1), lo_closed=True)}
-    )
+    alpha = dataclasses.replace(endpoint4.params["alpha"], lo_closed=True)
+    family = dataclasses.replace(endpoint4, params={**endpoint4.params, "alpha": alpha})
     result = run_threshold(_make_scan_spec(family, "alpha=3/5:19/20:1/20", ["a=1/4"]))
     assert result["threshold"] == "1/2"
     assert result["attained"] is True
@@ -460,23 +488,39 @@ def test_threshold_inexact_candidate_reports_the_holds_end(capsys):
     assert (blob["attained"], blob["exact"], blob["basis"]) == (True, False, "refined")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the boundary is irrational; the stop rule cannot tell it from a rational "
-    "with denominator <= max_denominator (ROADMAP item 3)",
+# A is fixed; B_p mixes uniform and trapezoid.  The true boundary is
+# irrational, about 0.34449699762, and every point below it holds.
+IRRATIONAL = Family(
+    name="irrational",
+    lhs={"atoms": [{"t": "0", "w": "41/130"}, {"t": "3/10", "w": "3/13"},
+                   {"t": "9/10", "w": "3/13"}, {"t": "1", "w": "29/130"}]},
+    rhs={"atoms": [{"t": "0", "w": "(1-p)/2"}, {"t": "1", "w": "(1-p)/2"}], "uniform": "p"},
+    params={"p": Param(F(0), F(0), F(1), lo_closed=True, hi_closed=True)},
 )
+
+
+def _irrational_threshold(max_denominator):
+    result = run_threshold(_make_scan_spec(IRRATIONAL, "p=0:1:1/20", []), max_denominator)
+    p = F(result["threshold"])
+    assert abs(p - F("0.34449699762")) < F(1, 10**7)
+    assert decide(*IRRATIONAL.build({"p": p})).holds
+    return result
+
+
 def test_threshold_irrational_boundary_is_not_exact():
-    # Reported today as 194544/564719 with exact: true, yet decide already
-    # fails 10**-14 below that value.
-    family = Family(
-        name="irrational",
-        lhs={"atoms": [{"t": "0", "w": "41/130"}, {"t": "3/10", "w": "3/13"},
-                       {"t": "9/10", "w": "3/13"}, {"t": "1", "w": "29/130"}]},
-        rhs={"atoms": [{"t": "0", "w": "(1-p)/2"}, {"t": "1", "w": "(1-p)/2"}], "uniform": "p"},
-        ranges={"p": Range(F(0), F(1), lo_closed=True, hi_closed=True)},
-    )
-    result = run_threshold(_make_scan_spec(family, "p=0:1:1/20", []))
-    assert result["exact"] is not True
+    # At the default limit the candidate 194544/564719 fails, 10**-14 above
+    # the boundary; it used to be reported with exact: true.
+    for max_denominator in (10**3, 10**6):
+        result = _irrational_threshold(max_denominator)
+        assert (result["attained"], result["exact"]) == (True, False)
+
+
+def test_threshold_candidate_and_probe_below_the_boundary_is_not_refused():
+    # At 10**4 the candidate 2695/7823 holds, and so does its probe toward
+    # the failing end: both lie below the boundary.  This used to be refused
+    # as a holds-region that is not monotone (exit 2).
+    result = _irrational_threshold(10**4)
+    assert (result["attained"], result["exact"], result["basis"]) == (True, False, "refined")
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +648,19 @@ def _random_params(name, rng):
         return rng_.lo + (rng_.hi - rng_.lo) * F(rng.randint(1, den - 1), den)
 
     family = FAMILIES[name]
-    params = {key: inside(family.ranges[key]) for key in family.defaults}
+    params = {key: inside(param) for key, param in family.params.items()}
     if name == "twoVsThree":  # the three weights must sum to 1
         params["b1"], params["b2"] = params["b1"] / 2, params["b2"] / 2
         params["b3"] = 1 - params["b1"] - params["b2"]
     return params
+
+
+def _label_record(family, params):
+    """The theorem record that the family's label names at params."""
+    return {
+        key: text if key == "family" else eval_rational_expr(text, params)
+        for key, text in family.label.items()
+    }
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -618,11 +670,29 @@ def test_family_templates_match_the_theorem_records(name):
     rng = random.Random(name)
     for _ in range(50):
         params = _random_params(name, rng)
-        record = {
-            key: text if key == "family" else eval_rational_expr(text, params)
-            for key, text in family.label.items()
-        }
+        record = _label_record(family, params)
         assert family.build(params) == functional_pair(params_from_json(record))
+
+
+def test_corpus_sweeps_build_what_their_labels_name():
+    # Every grid point of a named-family sweep in the golden corpus whose
+    # label is a valid theorem record builds that record's functional pair.
+    checked = 0
+    for case in json.loads(CORPUS.read_text(encoding="utf-8")):
+        args = cli.build_parser().parse_args(case["argv"])
+        if case["exit"] != 0 or getattr(args, "family", None) not in FAMILIES:
+            continue
+        family = FAMILIES[args.family]
+        spec = _make_scan_spec(family, args.sweep, args.fix)
+        for value in spec.grid():
+            params = spec.params_at(value)
+            try:
+                theorem_params = params_from_json(_label_record(family, params))
+            except ParamError:
+                continue
+            assert family.build(params) == functional_pair(theorem_params)
+            checked += 1
+    assert checked >= 73  # the scan entries alone give 73
 
 
 def test_bp1_endpoints_get_no_case_label():
@@ -662,6 +732,27 @@ def test_agree_rejects_bad_samples(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("theorem", cli.THEOREM_IDS)
+def test_agree_records_each_disagreement(tmp_path, capsys, monkeypatch, theorem):
+    # A checker with every verdict flipped disagrees on every sample.
+    check_params = cli.check_params
+    monkeypatch.setattr(
+        cli, "check_params",
+        lambda params: dataclasses.replace(check_params(params), holds=not check_params(params).holds),
+    )
+    out_path = tmp_path / "disagreements.jsonl"
+    code, out, _ = run(capsys, "agree", theorem, "--samples", "12", "--out", str(out_path))
+    assert code == 0
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert json.loads(out)["disagreements"] == len(records) == 12
+    for record in records:
+        assert params_to_json(params_from_json(record["params"])) == record["params"]
+        outcome = record["decider"]["outcome"]
+        assert record["adjudication"] == outcome
+        assert record["witness_verified"] is True  # a witness on fails, none on holds
+        assert record["checker"]["holds"] is (outcome == "fails")
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -674,6 +765,15 @@ def test_eval_rational_expr():
     assert eval_rational_expr("-3/4 + 1") == F(1, 4)
     assert eval_rational_expr("0.9") == F(9, 10)
     assert eval_rational_expr("2*a*b", {"a": F(1, 2), "b": F(1, 3)}) == F(1, 3)
+    assert eval_rational_expr("-a+1", {"a": F(1, 3)}) == F(2, 3)
+    for text, message in [
+        ("1 $ 2", "bad character '$'"),
+        ("1.2.3", "bad number '1.2.3'"),
+        ("* 2", "unexpected '*'"),
+        ("1 + / 2", "unexpected '/'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eval_rational_expr(text)
     with pytest.raises(ValueError):
         eval_rational_expr("1/0")
     with pytest.raises(ValueError):

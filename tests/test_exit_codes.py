@@ -124,7 +124,7 @@ def check_argv(draw) -> list[str]:
 
 
 # each named family's parameters, plus the parameter a custom template uses
-PARAMS = {name: list(family.defaults) for name, family in FAMILIES.items()}
+PARAMS = {name: list(family.params) for name, family in FAMILIES.items()}
 PARAMS["custom"] = ["p"]
 
 TEMPLATES = [
@@ -144,7 +144,7 @@ def valid_sweep_argv(draw) -> list[str]:
     command = draw(st.sampled_from(["threshold", "scan"]))
     family = draw(st.sampled_from([*FAMILIES, *(["custom"] if command == "scan" else [])]))
     name = draw(st.sampled_from(PARAMS[family]))
-    declared = FAMILIES[family].ranges[name] if family in FAMILIES else None
+    declared = FAMILIES[family].params[name] if family in FAMILIES else None
     lo, hi = (declared.lo, declared.hi) if declared else (Fraction(0), Fraction(1))
     i = draw(st.integers(1, 7))
     j = draw(st.integers(i, 7))

@@ -34,7 +34,9 @@ from helpers import (
     NUMBER_GRAMMAR,
     UNIT_AT_ONE,
     d_left_limit,
+    d_slope,
     d_value,
+    d_values,
     mix,
     rand_functional,
     reference_make_functional,
@@ -114,6 +116,8 @@ def test_domain_error():
         make_functional([(F(3, 2), 1)])
     with pytest.raises(DomainError):
         make_functional([(F(-1, 2), 1)])
+    with pytest.raises(DomainError, match=r"^coefficient 3/2 outside \[0, 1\]$"):
+        from_paper_convention([(1, F(3, 2))])
 
 
 def test_negative_weight_error():
@@ -407,6 +411,16 @@ def test_json_integer_rationals_accepted():
 def test_json_rejects_both_forms():
     with pytest.raises(ValueError):
         functional_from_json({"atoms": [], "pairs": [], "uniform": 1})
+    for blob, message in [
+        ([], "functional JSON must be an object, got list"),
+        ({"uniform": 1}, "functional JSON needs an 'atoms' or 'pairs' key"),
+        ({"atoms": [{"t": [[]], "w": 1}]}, "not a rational: got list"),
+        ({"pairs": [{"a": 1, "alpha": {}}]}, "not a rational: got dict"),
+        ({"atoms": [], "uniform": [1]}, "not a rational: got list"),
+    ]:
+        with pytest.raises(FunctionalError) as raised:
+            functional_from_json(blob)
+        assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +434,10 @@ seeds = st.integers(min_value=0, max_value=10**9)
 def test_cdf_is_a_distribution_function(seed):
     f = rand_functional(random.Random(seed))
     d = difference(f, UNIT_AT_ONE)
-    assert d.values[-1] == 0  # F_f(1) = 1
-    assert d.slope >= 0 and d.values[0] >= 0
-    for t, value in zip(d.breakpoints[1:], d.values[1:-1]):
+    values = d_values(d)
+    assert values[-1] == 0  # F_f(1) = 1
+    assert d_slope(d) >= 0 and values[0] >= 0
+    for t, value in zip(d.breakpoints[1:], values[1:-1]):
         assert value >= d_left_limit(d, t)
     assert d_left_limit(d, 1) <= 1
 

@@ -16,10 +16,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quadorder
 from quadorder.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
@@ -41,6 +45,19 @@ def test_cli_output_bytes_match_the_corpus(case):
     code, stdout = _run(case["argv"])
     assert code == case["exit"]
     assert stdout.encode("utf-8") == case["stdout"].encode("utf-8")
+
+
+def test_module_entry_point_prints_the_corpus_bytes():
+    argv = ["check", "trapezoid", "midpoint"]
+    case = next(case for case in _load() if case["argv"] == argv)
+    src = Path(quadorder.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "quadorder.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert case["exit"] == 1
+    assert (done.returncode, done.stdout, done.stderr) == (1, case["stdout"].encode("utf-8"), b"")
 
 
 if __name__ == "__main__":
