@@ -243,7 +243,7 @@ class Functional:
 
 def make_functional(
     atoms: Iterable[tuple[Rational, Rational]],
-    uniform_weight: Rational = 0,
+    uniform_weight: Rational = ZERO,
 ) -> Functional:
     """Validate and normalize a functional.
 

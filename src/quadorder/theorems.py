@@ -28,6 +28,7 @@ from .functionals import (
     HALF,
     ONE,
     UNIFORM,
+    _sum_pairs,
     as_fraction,
     make_functional,
 )
@@ -58,9 +59,14 @@ def _read_open01(params: object) -> None:
     order, and check that it lies strictly inside (0, 1)."""
     for name in params.__dataclass_fields__:
         value = as_fraction(getattr(params, name))
-        if not 0 < value < 1:
+        if not 0 < value.numerator < value.denominator:
             raise ParamError(f"{name} = {value} must lie strictly inside (0, 1)")
         object.__setattr__(params, name, value)
+
+
+def _sums_to_one(*weights: Fraction) -> bool:
+    total, scale = _sum_pairs([(w.numerator, w.denominator) for w in weights])
+    return total == scale
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,7 @@ class ThreeNodeLowerParams:
 
     def __post_init__(self) -> None:
         _read_open01(self)
-        if self.a1 + self.a2 + self.a3 != 1:
+        if not _sums_to_one(self.a1, self.a2, self.a3):
             raise ParamError("weights a1 + a2 + a3 must equal 1")
         if not self.alpha1 > self.alpha2 > self.alpha3:
             raise ParamError("need alpha1 > alpha2 > alpha3")
@@ -111,7 +117,7 @@ class FourNodeUpperParams:
 
     def __post_init__(self) -> None:
         _read_open01(self)
-        if self.a1 + self.a2 + self.a3 + self.a4 != 1:
+        if not _sums_to_one(self.a1, self.a2, self.a3, self.a4):
             raise ParamError("weights a1 + a2 + a3 + a4 must equal 1")
         if not self.alpha2 > self.alpha3:
             raise ParamError("need 1 > alpha2 > alpha3 > 0")
@@ -132,7 +138,7 @@ class TwoVsThreeParams:
 
     def __post_init__(self) -> None:
         _read_open01(self)
-        if self.b1 + self.b2 + self.b3 != 1:
+        if not _sums_to_one(self.b1, self.b2, self.b3):
             raise ParamError("weights b1 + b2 + b3 must equal 1")
         if not self.alpha1 > self.alpha2:
             raise ParamError("need alpha1 > alpha2 (distinct left-side nodes)")

@@ -13,6 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import ceil, floor
 from operator import itemgetter
@@ -27,6 +28,7 @@ from quadorder import (
     DegenerateDifference,
     DiffFunction,
     DomainError,
+    FourNodeUpperParams,
     Functional,
     HingeWitness,
     LinearWitness,
@@ -37,6 +39,8 @@ from quadorder import (
     Rational,
     SIMPSON,
     TRAPEZOID,
+    ThreeNodeLowerParams,
+    TwoVsThreeParams,
     UNIFORM,
     Verdict,
     as_fraction,
@@ -45,7 +49,7 @@ from quadorder import (
     make_functional,
 )
 from quadorder.cli import _SAMPLERS
-from quadorder.functionals import ONE, ZERO
+from quadorder.functionals import HALF, ONE, ZERO
 from quadorder.ordering import _lemma_verdict
 
 # The unit atom at 1.  Its distribution function is 0 on [0, 1), so
@@ -384,10 +388,12 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 DENOMINATORS = (8, 9, 10, 12, 15, 16, 20, 24, 30, 32, 40, 60)
 
 
-def rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction | None:
+def rand_fraction(
+    rng: random.Random, lo: Fraction, hi: Fraction, denominators: tuple = DENOMINATORS
+) -> Fraction | None:
     """Random rational strictly inside (lo, hi), None if the drawn
     denominator has no lattice point there."""
-    den = rng.choice(DENOMINATORS)
+    den = rng.choice(denominators)
     kmin = lo.numerator * den // lo.denominator + 1
     kmax = -((-hi.numerator * den) // hi.denominator) - 1
     if kmin > kmax:
@@ -591,3 +597,70 @@ def pair_family(rng: random.Random, family: str, count: int) -> list[tuple[Funct
         rng.shuffle(halves)
         pairs.append((a, make_functional(halves, a.uniform_weight)))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# The agree samplers on Fractions, the reference for cli._SAMPLERS: the
+# same rng calls in the same order, so a seed draws the same tuples.
+# ---------------------------------------------------------------------------
+
+reference_rand_fraction = partial(
+    rand_fraction, denominators=(8, 9, 10, 12, 16, 18, 20, 24, 30, 32, 40, 48, 60)
+)
+
+
+def reference_sample_three_node_lower(rng: random.Random) -> ThreeNodeLowerParams:
+    while True:
+        alpha1 = reference_rand_fraction(rng, HALF, ONE)
+        alpha3 = reference_rand_fraction(rng, ZERO, HALF)
+        alpha2 = reference_rand_fraction(rng, alpha3, alpha1)
+        if alpha2 is None:
+            continue
+        a1 = reference_rand_fraction(rng, ZERO, min(ONE, (HALF - alpha3) / (alpha1 - alpha3)))
+        if a1 is None:
+            continue
+        a2 = (HALF - a1 * (1 - alpha1) - (1 - a1) * (1 - alpha3)) / (alpha3 - alpha2)
+        a3 = 1 - a1 - a2
+        if 0 < a2 < 1 and 0 < a3 < 1:
+            return ThreeNodeLowerParams(a1, a2, a3, alpha1, alpha2, alpha3)
+
+
+def reference_sample_four_node_upper(rng: random.Random) -> FourNodeUpperParams:
+    while True:
+        alpha2 = reference_rand_fraction(rng, ZERO, ONE)
+        alpha3 = reference_rand_fraction(rng, ZERO, alpha2)
+        a1 = reference_rand_fraction(rng, ZERO, HALF)
+        if alpha3 is None or a1 is None:
+            continue
+        a2 = reference_rand_fraction(rng, ZERO, min(1 - a1, (HALF - a1) / alpha2))
+        if a2 is None:
+            continue
+        a3 = (HALF - a1 - a2 * alpha2) / alpha3
+        a4 = 1 - a1 - a2 - a3
+        if 0 < a3 < 1 and 0 < a4 < 1:
+            return FourNodeUpperParams(a1, a2, a3, a4, alpha2, alpha3)
+
+
+def reference_sample_two_vs_three(rng: random.Random) -> TwoVsThreeParams:
+    while True:
+        alpha1 = reference_rand_fraction(rng, ZERO, ONE)
+        alpha2 = reference_rand_fraction(rng, ZERO, alpha1)
+        beta = reference_rand_fraction(rng, ZERO, ONE)
+        a = reference_rand_fraction(rng, ZERO, ONE)
+        if alpha2 is None:
+            continue
+        mean = a * (1 - alpha1) + (1 - a) * (1 - alpha2)
+        b2 = reference_rand_fraction(rng, ZERO, min(ONE, mean / (1 - beta), (1 - mean) / beta))
+        if b2 is None:
+            continue
+        b3 = mean - b2 * (1 - beta)
+        b1 = 1 - b2 - b3
+        if 0 < b1 < 1 and 0 < b3 < 1:
+            return TwoVsThreeParams(a, alpha1, alpha2, beta, b1, b2, b3)
+
+
+REFERENCE_SAMPLERS = {
+    "three-node-lower": reference_sample_three_node_lower,
+    "four-node-upper": reference_sample_four_node_upper,
+    "two-vs-three": reference_sample_two_vs_three,
+}

@@ -25,6 +25,7 @@ from quadorder import (
     params_to_json,
 )
 from quadorder.cli import _SAMPLERS, run_agreement
+from helpers import REFERENCE_SAMPLERS
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,9 @@ def test_param_records_report_the_first_bad_field():
         (TwoVsThreeParams, (*left, h, q, h, h), "weights b1 + b2 + b3 must equal 1"),
         (TwoVsThreeParams, (h, F(2, 5), F(3, 5), h, q, h, q),
          "need alpha1 > alpha2 (distinct left-side nodes)"),
+        (ThreeNodeLowerParams, (h, F(-1, 3), q, h, h, q), f"a2 = -1/3 {out}"),
+        (FourNodeUpperParams, (q, q, q, q, "4/3", q), f"alpha2 = 4/3 {out}"),
+        (TwoVsThreeParams, (*left, "1", q, h, q), f"beta = 1 {out}"),
     ]
     for record, args, message in cases:
         with pytest.raises(ValueError) as caught:  # ParamError, or FunctionalError from as_fraction
@@ -177,6 +181,17 @@ def test_pair_two_vs_three_simpson_shape():
     )
     assert [x.position for x in two.atoms] == [F(1, 3), F(2, 3)]
     assert [a.weight for a in three.atoms] == [F(1, 6), F(2, 3), F(1, 6)]
+
+
+@pytest.mark.parametrize("theorem", sorted(_SAMPLERS))
+def test_samplers_draw_the_fraction_reference_stream(theorem):
+    # The int-pair samplers make the reference's rng calls in its order,
+    # so a seed draws the same tuples and leaves the same state.
+    for seed in range(200):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert _SAMPLERS[theorem](rng) == REFERENCE_SAMPLERS[theorem](reference_rng), seed
+            assert rng.getstate() == reference_rng.getstate(), seed
 
 
 def test_mean_ok_iff_barycenters_match():
