@@ -22,6 +22,7 @@ or a linear map when the barycenters differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -96,17 +97,19 @@ class DiffFunction:
         D(t) = M_i + slope * t,
         G(s) = G(b_i) + D(b_i) (s - b_i) + slope * (s - b_i)^2 / 2,
 
-    and G(0) = 0.  max_g and crossing_profile each walk the breakpoints
-    once, carrying W M_i and the atoms' part of G as single ints; g_end
-    sums the jumps pairwise.  Each builds a Fraction only for what it
-    returns.  The Fraction tuples breakpoints and cumulative (G(b_i)) are
-    built when read; no decision reads them.
+    and G(0) = 0.  max_g walks the jumps once, carrying W M_i and reading
+    D's sign exactly over W (with a slope, also b_i's denominator); it forms G
+    only where it can peak: at 1 and where D turns from > 0 to <= 0, at a
+    breakpoint or at the vertex of a piece; the same walk gives g_end.
+    crossing_profile walks every breakpoint.  Fractions are built only for
+    what is returned; breakpoints and cumulative (G(b_i)) when read.
     """
 
     t_scale: int
     w_scale: int
     slope_w: int
     points: tuple[int, ...]
+    positions: tuple[tuple[int, int], ...]  # points[i] / T in lowest terms
     jumps: tuple[tuple[int, int], ...]
 
     def _sweep(self):
@@ -129,68 +132,74 @@ class DiffFunction:
         return self.w_scale * self.t_scale
 
     def _level(self, p: int, g: int) -> int:
-        """G(p / T) over _g_scale(), from a _sweep row.  With slope 0 this
-        is g itself: no multiplication by T per breakpoint."""
+        """G(p / T) over _g_scale(), from g, the atoms' part of W T G(p / T)."""
         if self.slope_w:
             return 2 * self.t_scale * g + self.slope_w * p * p
         return g
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(p, self.t_scale) for p in self.points)
+        return tuple(Fraction(*pair) for pair in self.positions)
 
     @property
     def cumulative(self) -> tuple[Fraction, ...]:
         scale = self._g_scale()
         return tuple(Fraction(self._level(p, g), scale) for p, _, g in self._sweep())
 
-    def g_end(self) -> Fraction:
-        """G(1) = slope / 2 + sum_j w_j (1 - t_j) over the jumps, which is
-        the barycenter of B minus that of A.
+    @cached_property
+    def _peak(self) -> tuple[int, int, int, tuple[int, int]]:
+        """(G(1), best, best_den, s*): G(1) and max G = best / best_den over
+        _g_scale(), first reached at s* = (numerator, denominator)."""
+        t_scale, w_scale, slope_w = self.t_scale, self.w_scale, self.slope_w
+        # With T past a machine word, adding p W w_j to Mom at each jump would
+        # be a T-by-W product, so the moments (num p, den) since the last
+        # candidate are kept and summed pairwise when G is formed
+        short = t_scale.bit_length() <= 64
+        moments: list[tuple[int, int]] = []
+        mass = mom = d_at = 0
+        best, best_den, s_star = 0, 1, (0, 1)
+        for p, (tn, td), (num, den) in zip(self.points, self.positions, self.jumps):
+            # D at the last breakpoint, just before p and at p, times W (and,
+            # with a slope, times that breakpoint's own denominator): exact
+            # signs without T
+            d_left, d_before = d_at, (mass * td + slope_w * tn if slope_w else mass)
+            term = num * (w_scale // den)
+            mass += term
+            d_at = d_before + term * td if slope_w else mass
+            if short:
+                mom += term * p
+            else:
+                moments.append((num * p, den))
+            # candidates: where D turns from > 0 to <= 0 at p or inside the
+            # piece before p (its vertex), and 1
+            if d_left > 0 >= d_before or d_before > 0 >= d_at or p == t_scale:
+                if moments:
+                    m_num, m_den = _sum_pairs(moments)
+                    mom += m_num * (w_scale // m_den)
+                    moments.clear()
+                # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far
+                g = self._level(p, p * mass - mom)
+                top, top_den, s = g, 1, (p, t_scale)
+                if d_left > 0 > d_before:
+                    # the vertex beats p: G there is G(p) + D(p-)^2 / (2 |slope|)
+                    d_before *= t_scale // td
+                    top, top_den = d_before * d_before - g * slope_w, -slope_w
+                    s = (slope_w * p - d_before, slope_w * t_scale)
+                if top * best_den > best * top_den:
+                    best, best_den, s_star = top, top_den, s
+        return g, best, best_den, s_star  # the last p is T, so g is G(1)
 
-        The jump terms are summed pairwise (_sum_pairs).  A walk of D would
-        multiply a T-sized int by a W-sized one at every breakpoint; with
-        positions on distinct primes near 10^5 both reach 10^4 bits, and
-        the pairwise sum is 5 to 13 times faster.
-        """
-        t_scale = self.t_scale
-        num, den = _sum_pairs(
-            (n * (t_scale - p), d) for p, (n, d) in zip(self.points, self.jumps) if n
-        )
-        # num / (den T) + slope / 2, over 2 W T; den divides W
-        w_scale = self.w_scale
-        return Fraction(2 * num * (w_scale // den) + self.slope_w * t_scale, 2 * w_scale * t_scale)
+    def g_end(self) -> Fraction:
+        """G(1), the barycenter of B minus that of A, from max_g's walk."""
+        return Fraction(self._peak[0], self._g_scale())
 
     def is_zero(self) -> bool:
         return not self.slope_w and not any(num for num, _ in self.jumps)
 
     def max_g(self) -> tuple[Fraction, Fraction]:
-        """(s*, G(s*)) with G(s*) maximal; smallest s* under ties.
-
-        Candidates: every breakpoint plus the interior vertex of every
-        quadratic piece (where D vanishes).  G is continuous and piecewise
-        quadratic, so the maximum is among these.  A vertex is a maximum
-        of its piece only when the slope is negative; otherwise G there is
-        below its value at the piece's left end, already a candidate.
-        """
-        t_scale, slope_w = self.t_scale, self.slope_w
-        # the best G so far is best / best_den over _g_scale(), at s_num / s_den
-        best, best_den, s_num, s_den = 0, 1, 0, 1
-        left = left_mass = left_level = 0
-        for p, mass, g in self._sweep():
-            level = self._level(p, g)
-            if slope_w < 0:
-                # D at the left end of [left, p) and just before p, times W T
-                d_left = left_mass * t_scale + slope_w * left
-                if d_left > 0 and left_mass * t_scale + slope_w * p < 0:
-                    # G at the vertex is G(left) + D(left)^2 / (2 |slope|)
-                    num, den = d_left * d_left - left_level * slope_w, -slope_w
-                    if num * best_den > best * den:
-                        best, best_den, s_num, s_den = num, den, -left_mass, slope_w
-            if level * best_den > best:
-                best, best_den, s_num, s_den = level, 1, p, t_scale
-            left, left_mass, left_level = p, mass, level
-        return Fraction(s_num, s_den), Fraction(best, best_den * self._g_scale())
+        """(s*, G(s*)) with G(s*) maximal over [0, 1]; smallest s* under ties."""
+        _, best, best_den, s_star = self._peak
+        return Fraction(*s_star), Fraction(best, best_den * self._g_scale())
 
 
 def difference(a: Functional, b: Functional) -> DiffFunction:
@@ -209,24 +218,23 @@ def difference(a: Functional, b: Functional) -> DiffFunction:
         - b.uniform_weight.numerator * (w_scale // b.uniform_weight.denominator)
     )
     signed = [
-        (tn * (t_scale // td), sign * wn, wd)
+        (tn * (t_scale // td), sign * wn, wd, (tn, td))
         for sign, f in ((1, a), (-1, b))
         for (tn, td), (wn, wd) in zip(f.position_pairs, f.weight_pairs)
     ]
+    signed.append((t_scale, 0, 1, (1, 1)))  # 1 is always a breakpoint
     signed.sort(key=itemgetter(0))
-    points, jumps = [0], [(0, 1)]
-    for p, num, den in signed:
+    points, positions, jumps = [0], [(0, 1)], [(0, 1)]
+    for p, num, den, position in signed:
         if p == points[-1]:
             num, den = _add_pairs(jumps[-1], (num, den))
             common = gcd(num, den)
             jumps[-1] = (num // common, den // common)
         else:
             points.append(p)
+            positions.append(position)
             jumps.append((num, den))
-    if points[-1] != t_scale:
-        points.append(t_scale)
-        jumps.append((0, 1))
-    return DiffFunction(t_scale, w_scale, slope_w, tuple(points), tuple(jumps))
+    return DiffFunction(t_scale, w_scale, slope_w, tuple(points), tuple(positions), tuple(jumps))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +398,12 @@ def _cumulative_verdict(d: DiffFunction) -> Verdict:
     """
     if d.is_zero():
         return Verdict(EQUAL)
+    # max_g's walk yields G(1) as well, which g_end then reads
+    s_star, g_max = d.max_g()
     g_end = d.g_end()
     if g_end != 0:
         # G(1) = barycenter(b) - barycenter(a)
-        direction = 1 if g_end < 0 else -1
-        return Verdict(FAILS, LinearWitness(direction))
-    s_star, g_max = d.max_g()
+        return Verdict(FAILS, LinearWitness(1 if g_end < 0 else -1))
     if g_max <= 0:
         return Verdict(HOLDS)
     return Verdict(FAILS, HingeWitness(s_star, g_max))
@@ -437,9 +445,7 @@ def decide_lemma(a: Functional, b: Functional) -> Verdict:
     if d.is_zero():
         raise DegenerateDifference("functionals are equal; nothing to cross")
     if d.g_end() != 0:
-        raise MeansDiffer(
-            f"barycenters differ: G(1) = {d.g_end()} != 0"
-        )
+        raise MeansDiffer(f"barycenters differ: G(1) = {d.g_end()} != 0")
     return _lemma_verdict(crossing_profile(d))
 
 

@@ -533,15 +533,15 @@ def coprime_pair(rng: random.Random) -> tuple[Functional, Functional]:
     return sides[0], sides[1]
 
 
-def coprime_spread_pair(rng: random.Random) -> tuple[Functional, Functional]:
-    """A with 12 atoms in (1/4, 3/4) and B splitting each atom onto both
+def coprime_spread_pair(rng: random.Random, n: int = 12) -> tuple[Functional, Functional]:
+    """A with n atoms in (1/4, 3/4) and B splitting each atom onto both
     sides of it, keeping its mean, so that A <= B; every position and
     offset has its own prime denominator near 10^5.  Both sides carry the
     same uniform part, and the pair is swapped half the time."""
-    primes = first_primes_above(10**5, 36)
+    primes = first_primes_above(10**5, 3 * n)
     rng.shuffle(primes)
     uniform = rng.choice([Fraction(0), Fraction(1, 3)])
-    raw = [rng.randint(1, 9) for _ in range(12)]
+    raw = [rng.randint(1, 9) for _ in range(n)]
     a_atoms, b_atoms = [], []
     for i, r in enumerate(raw):
         p, q, s = primes[3 * i : 3 * i + 3]
@@ -579,6 +579,19 @@ def pair_family(rng: random.Random, family: str, count: int) -> list[tuple[Funct
         return [coprime_pair(rng) for _ in range(count)]
     if family == "coprime-spread":
         return [coprime_spread_pair(rng) for _ in range(count)]
+    if family == "coprime-spread-60":
+        # bench-sized pairs; the second half is also mixed with the trapezoid
+        # rule on one side and the uniform one on the other, every way round:
+        # the barycenters stay equal and the uniform parts differ, so D has
+        # a slope over large T and W
+        pairs = [coprime_spread_pair(rng, 60) for _ in range(count)]
+        lam = Fraction(1, 4)
+        mixed = [
+            (mix(x, TRAPEZOID, lam), mix(y, UNIFORM, lam))
+            for a, b in pairs[count // 2 :]
+            for x, y in ((a, b), (b, a))
+        ]
+        return pairs[: count // 2] + mixed + [(b, a) for a, b in mixed]
     if family == "shared-positions":
         pairs = []
         for _ in range(count // 2):

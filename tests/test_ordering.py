@@ -397,6 +397,7 @@ ENGINE_PAIR_COUNTS = {
     "endpoint-atoms": 100,
     "coprime": 8,
     "coprime-spread": 16,
+    "coprime-spread-60": 2,
     "shared-positions": 200,
     "equal": 50,
 }
@@ -424,6 +425,55 @@ def test_max_g_breaks_a_vertex_breakpoint_tie_toward_the_smaller_s():
     assert d.cumulative[d.breakpoints.index(F(25, 32))] == F(819, 16384)  # the breakpoint
     for a, b in ((TIE_A, TIE_B), (a, b)):
         assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
+
+
+def _peak_matches_the_reference(a, b):
+    d, ref = difference(a, b), reference_difference(a, b)
+    assert (d.max_g(), d.g_end()) == (ref.max_g(), ref.g_end())
+    return d.max_g(), d.g_end()
+
+
+def test_max_g_keeps_the_start_of_a_zero_stretch_after_the_peak():
+    # D = 1/2 on [1/8, 1/4), 0 on [1/4, 3/4), -1/2 on [3/4, 7/8): G is 1/16
+    # all over [1/4, 3/4], and the smallest s wins
+    a = make_functional([(F(1, 8), F(1, 2)), (F(7, 8), F(1, 2))])
+    b = make_functional([(F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))])
+    assert _peak_matches_the_reference(a, b) == ((F(1, 4), F(1, 16)), 0)
+    assert decide(a, b) == Verdict(FAILS, HingeWitness(F(1, 4), F(1, 16)))
+
+
+def test_max_g_at_a_vertex_that_falls_on_a_breakpoint():
+    # D = 1/4 - t/2 on [0, 1/2) reaches 0 just before the atom of B at 1/2
+    a = make_functional([(0, F(1, 4)), (F(2, 3), F(3, 4))])
+    b = make_functional([(F(1, 2), F(1, 2))], F(1, 2))
+    assert _peak_matches_the_reference(a, b) == ((F(1, 2), F(1, 16)), 0)
+    # D = 1/2 - t reaches 0 at 1/2, jumps to 1/4 and falls to 0 at the
+    # vertex 3/4, the maximum; then G(1) = 1/8
+    a = make_functional([(0, F(1, 2)), (F(1, 2), F(1, 4)), (1, F(1, 4))])
+    assert _peak_matches_the_reference(a, UNIFORM) == ((F(3, 4), F(5, 32)), F(1, 8))
+
+
+def test_max_g_at_one_when_g_end_is_positive():
+    assert _peak_matches_the_reference(UNIFORM, UNIT_AT_ONE) == ((1, F(1, 2)), F(1, 2))
+    a = make_functional([(F(1, 3), F(1, 2)), (F(1, 2), F(1, 2))])
+    b = make_functional([(F(1, 2), F(1, 2)), (1, F(1, 2))])
+    assert _peak_matches_the_reference(a, b) == ((1, F(1, 3)), F(1, 3))
+
+
+def test_max_g_is_zero_at_zero_when_g_never_rises_above_zero():
+    unit_at_zero = make_functional([(0, 1)])
+    for a, b in ((MIDPOINT, UNIFORM), (UNIFORM, TRAPEZOID), (UNIT_AT_ONE, unit_at_zero)):
+        (s_star, g_max), _ = _peak_matches_the_reference(a, b)
+        assert (s_star, g_max) == (0, 0)
+
+
+def test_plain_decide_walks_only_the_candidates(monkeypatch):
+    def full_walk(self):
+        raise AssertionError("the full breakpoint walk is for the crossing profile")
+
+    monkeypatch.setattr(ordering.DiffFunction, "_sweep", full_walk)
+    for a, b in [(TWO_NEAR_EDGES, UNIFORM), *pair_family(random.Random(5), "coprime-spread", 2)]:
+        assert decide(a, b) == reference_decide(a, b)
 
 
 def _outcome(call, *args):
