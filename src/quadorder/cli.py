@@ -844,6 +844,9 @@ def _cmd_agree(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process: parse_args leaves the parser as it is, and
+# copies --fix's default list before it appends to it
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadorder",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -80,6 +81,10 @@ class InternalDisagreement(OrderingError):
 # D = F_A - F_B and its antiderivative G
 # ---------------------------------------------------------------------------
 
+# Up to this size of T both walks add each jump's W T w_j t_j to Mom
+# directly; past it they sum the pending moments pairwise when G is formed
+_SHORT_T_BITS = 64
+
 
 @dataclass(frozen=True)
 class DiffFunction:
@@ -97,12 +102,13 @@ class DiffFunction:
         D(t) = M_i + slope * t,
         G(s) = G(b_i) + D(b_i) (s - b_i) + slope * (s - b_i)^2 / 2,
 
-    and G(0) = 0.  max_g walks the jumps once, carrying W M_i and reading
-    D's sign exactly over W (with a slope, also b_i's denominator); it forms G
-    only where it can peak: at 1 and where D turns from > 0 to <= 0, at a
-    breakpoint or at the vertex of a piece; the same walk gives g_end.
-    crossing_profile walks every breakpoint.  Fractions are built only for
-    what is returned; breakpoints and cumulative (G(b_i)) when read.
+    and G(0) = 0.  max_g and crossing_profile each walk the jumps once,
+    carrying W M_i and reading D's sign exactly over W (with a slope, also
+    b_i's denominator), and form G only where they need it: max_g at 1 and
+    where D turns from > 0 to <= 0, at a breakpoint or at the vertex of a
+    piece (the same walk gives g_end); crossing_profile at 1 and at each
+    crossing.  Fractions are built only for what is returned; breakpoints
+    and cumulative (G(b_i) at every breakpoint) when read.
     """
 
     t_scale: int
@@ -111,19 +117,6 @@ class DiffFunction:
     points: tuple[int, ...]
     positions: tuple[tuple[int, int], ...]  # points[i] / T in lowest terms
     jumps: tuple[tuple[int, int], ...]
-
-    def _sweep(self):
-        """(p, mass, g) at each breakpoint p / T in order: mass = W M_i, and
-        g = W T sum_j w_j (b_i - t_j) over the atoms at or before b_i, the
-        part of G(b_i) that the slope does not contribute."""
-        w_scale = self.w_scale
-        mass = g = left = 0
-        for p, (num, den) in zip(self.points, self.jumps):
-            g += (p - left) * mass
-            if num:
-                mass += num * (w_scale // den)
-            left = p
-            yield p, mass, g
 
     def _g_scale(self) -> int:
         """The denominator of the G numerators that _level returns."""
@@ -143,8 +136,13 @@ class DiffFunction:
 
     @property
     def cumulative(self) -> tuple[Fraction, ...]:
-        scale = self._g_scale()
-        return tuple(Fraction(self._level(p, g), scale) for p, _, g in self._sweep())
+        # G(b_i) from g = W T sum_j w_j (b_i - t_j) over the atoms at or
+        # before b_i, the part the slope does not add, grown piece by piece
+        w_scale, scale, points = self.w_scale, self._g_scale(), self.points
+        masses = accumulate(num * (w_scale // den) for num, den in self.jumps)
+        steps = ((right - left) * mass for right, left, mass in zip(points[1:], points, masses))
+        gs = accumulate(steps, initial=0)
+        return tuple(Fraction(self._level(p, g), scale) for p, g in zip(points, gs))
 
     @cached_property
     def _peak(self) -> tuple[int, int, int, tuple[int, int]]:
@@ -154,7 +152,7 @@ class DiffFunction:
         # With T past a machine word, adding p W w_j to Mom at each jump would
         # be a T-by-W product, so the moments (num p, den) since the last
         # candidate are kept and summed pairwise when G is formed
-        short = t_scale.bit_length() <= 64
+        short = t_scale.bit_length() <= _SHORT_T_BITS
         moments: list[tuple[int, int]] = []
         mass = mom = d_at = 0
         best, best_den, s_star = 0, 1, (0, 1)
@@ -279,48 +277,69 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     so the area between consecutive crossings x_k < x_{k+1} (with x_0 = 0
     and x_{n+1} = 1) is |G(x_{k+1}) - G(x_k)|.
     """
-    t_scale, slope_w = d.t_scale, d.slope_w
+    # One walk over the jumps, like max_g's but independent of it: it
+    # carries W M_i, reads D's sign at both ends of each piece without T,
+    # and forms G only at crossings and at 1
+    t_scale, w_scale, slope_w = d.t_scale, d.w_scale, d.slope_w
+    short = t_scale.bit_length() <= _SHORT_T_BITS
+    moments: list[tuple[int, int]] = []  # (num p, den) not yet in mom, when T is long
     points: list[tuple[int, int]] = []  # crossing points as (numerator, denominator)
     # G(0), G at each crossing, then G(1), as (numerator, denominator) over _g_scale()
     levels = [(0, 1)]
-    initial_sign = current_sign = 0
-    left = left_mass = left_level = 0
-    for p, mass, g in d._sweep():
-        level = d._level(p, g)
-        if p:
-            # D at the left end of [left, p) and just before p, times W T
-            # (times W when the slope is 0)
-            if slope_w:
-                d_left = left_mass * t_scale + slope_w * left
-                d_right = left_mass * t_scale + slope_w * p
-            else:
-                d_left = d_right = left_mass
-            if d_left < 0 < d_right or d_right < 0 < d_left:
-                # a root inside, where G is G(left) - D(left)^2 / (2 slope)
-                root_level = (left_level * slope_w - d_left * d_left, slope_w)
-                pieces = [(d_left, (left, t_scale), (left_level, 1)),
-                          (d_right, (-left_mass, slope_w), root_level)]
-            elif d_left or d_right:
-                pieces = [(d_left + d_right, (left, t_scale), (left_level, 1))]
-            else:
-                pieces = []
-            for value, start, start_level in pieces:
-                sign = 1 if value > 0 else -1
-                if current_sign == 0:
-                    initial_sign = sign
-                elif sign != current_sign:
-                    points.append(start)
-                    levels.append(start_level)
-                current_sign = sign
-        left, left_mass, left_level = p, mass, level
+    current_sign = 0
+    walk = zip(d.points, d.positions, d.jumps)
+    left, (ln, ld), (num, den) = next(walk)  # the breakpoint 0
+    mass, mom = num * (w_scale // den), 0
+    for p, (tn, td), (num, den) in walk:
+        # D at the left end of [left, p) and just before p, times W (and,
+        # with a slope, times that end's own denominator)
+        if slope_w:
+            d_left, d_right = mass * ld + slope_w * ln, mass * td + slope_w * tn
+        else:
+            d_left = d_right = mass
+        # D has one sign on the piece, that of its first nonzero end,
+        # unless its ends have opposite signs: then a root lies inside
+        first = d_left or d_right
+        if first:
+            sign = 1 if first > 0 else -1
+            cross = current_sign and sign != current_sign
+            root = d_right and (d_right > 0) != (first > 0)
+            if cross or root:
+                if moments:
+                    m_num, m_den = _sum_pairs(moments)
+                    mom += m_num * (w_scale // m_den)
+                    moments.clear()
+                # W T G(left / T) = left W M - Mom, Mom the sum of W T w_j t_j so far
+                level = d._level(left, left * mass - mom)
+                if cross:
+                    points.append((ln, ld))
+                    levels.append((level, 1))
+                if root:
+                    # a root inside, where G is G(left) - D(left)^2 / (2 slope)
+                    d_left *= t_scale // ld
+                    points.append((-mass, slope_w))
+                    levels.append((level * slope_w - d_left * d_left, slope_w))
+                    sign = -sign
+            current_sign = sign
+        term = num * (w_scale // den)
+        mass += term
+        if short:
+            mom += term * p
+        else:
+            moments.append((num * p, den))
+        left, ln, ld = p, tn, td
     if current_sign == 0:
         raise DegenerateDifference("difference is identically zero")
-    levels.append((left_level, 1))
+    m_num, m_den = _sum_pairs(moments)
+    mom += m_num * (w_scale // m_den)
+    levels.append((d._level(t_scale, t_scale * mass - mom), 1))  # the last p is T
     scale = d._g_scale()
     areas = tuple(
         abs(Fraction(n2 * d1 - n1 * d2, d1 * d2 * scale))
         for (n1, d1), (n2, d2) in zip(levels, levels[1:])
     )
+    # the sign flips at every crossing
+    initial_sign = current_sign if len(points) % 2 == 0 else -current_sign
     return CrossingProfile(tuple(Fraction(n, m) for n, m in points), areas, initial_sign)
 
 

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import quadorder
 from quadorder import (
     FAILS,
     ParamError,
@@ -752,6 +757,43 @@ def test_agree_records_each_disagreement(tmp_path, capsys, monkeypatch, theorem)
         # a verified witness on fails; none to check on holds
         assert record["witness_verified"] is (True if outcome == "fails" else None)
         assert record["checker"]["holds"] is (outcome == "fails")
+
+
+# ---------------------------------------------------------------------------
+# main
+# ---------------------------------------------------------------------------
+
+
+def test_the_one_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch):
+    # main builds its parser once per process: --fix on one call must not
+    # reach the next, and a usage error must leave the parser as it was
+    monkeypatch.setenv("COLUMNS", "80")
+    sweep = ["--family", "symmetric3", "--sweep", "a=1/20:9/20:1/20"]
+    argvs = [
+        ["threshold", *sweep, "--fix", "alpha=4/5"],
+        ["scan", *sweep],
+        ["scan", "--family", "symmetric3"],  # no --sweep
+        ["threshold", *sweep],
+    ]
+    src = Path(quadorder.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    codes = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "quadorder.cli", *argv], capture_output=True, env=env, timeout=60
+        )
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()
+        )
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from helpers import (
     d_value,
     d_values,
     equal_mean_pair,
+    first_primes_above,
     mix,
     pair_family,
     rand_functional,
@@ -468,10 +469,11 @@ def test_max_g_is_zero_at_zero_when_g_never_rises_above_zero():
 
 
 def test_plain_decide_walks_only_the_candidates(monkeypatch):
-    def full_walk(self):
-        raise AssertionError("the full breakpoint walk is for the crossing profile")
+    def crossing_walk(*args):
+        raise AssertionError("the crossing walk is for the diagnose path")
 
-    monkeypatch.setattr(ordering.DiffFunction, "_sweep", full_walk)
+    monkeypatch.setattr(ordering, "crossing_profile", crossing_walk)
+    monkeypatch.setattr(ordering.DiffFunction, "cumulative", property(crossing_walk))
     for a, b in [(TWO_NEAR_EDGES, UNIFORM), *pair_family(random.Random(5), "coprime-spread", 2)]:
         assert decide(a, b) == reference_decide(a, b)
 
@@ -499,3 +501,92 @@ def test_integer_core_matches_the_fraction_reference(family):
         assert decide(a, b, diagnose=True) == want
         assert decide(a, b) == replace(want, crossings=None, lemma_outcome=None)
         assert _outcome(decide_lemma, a, b) == _outcome(reference_decide_lemma, a, b)
+
+
+# ---------------------------------------------------------------------------
+# The crossing walk on either side of the 64-bit cut
+# ---------------------------------------------------------------------------
+
+# Six increasing positions near i / 7: T is 7, 2^63 (64 bits, the last
+# size that adds moments directly), 2^64, and a product of primes near 10^5
+CUT_GRIDS = {
+    "sevenths": [F(i, 7) for i in range(1, 7)],
+    "2^63": [F(2**63 * i // 7 | 1, 2**63) for i in range(1, 7)],
+    "2^64": [F(2**64 * i // 7 | 1, 2**64) for i in range(1, 7)],
+    "primes": [F(p * i // 7, p) for i, p in zip(range(1, 7), first_primes_above(10**5, 6))],
+}
+
+
+def _cut_pairs(x):
+    """D = 1/4, -1/4, 1/4, -1/4 between x0 .. x4 (crossings at three
+    consecutive breakpoints), and D = 1/2, 0, -1/2 between x0, x1, x4, x5
+    (a crossing after a zero stretch); each also with a uniform part on
+    either side (a slope of either sign), and every pair both ways round."""
+    alternating = (
+        make_functional([(x[0], F(1, 4)), (x[2], F(1, 2)), (x[4], F(1, 4))]),
+        make_functional([(x[1], F(1, 2)), (x[3], F(1, 2))]),
+    )
+    gap = (
+        make_functional([(x[0], F(1, 2)), (x[5], F(1, 2))]),
+        make_functional([(x[1], F(1, 2)), (x[4], F(1, 2))]),
+    )
+    half = F(1, 2)
+    for a, b in (alternating, gap):
+        for pair in ((a, b), (mix(a, UNIFORM, half), b), (a, mix(b, UNIFORM, half))):
+            yield pair
+            yield pair[::-1]
+
+
+CUT_PAIRS = [pair for x in CUT_GRIDS.values() for pair in _cut_pairs(x)]
+
+
+@pytest.mark.parametrize("grid", sorted(CUT_GRIDS))
+def test_crossing_walk_matches_the_reference_on_either_side_of_the_cut(grid):
+    seen = set()
+    for a, b in _cut_pairs(CUT_GRIDS[grid]):
+        d, ref = difference(a, b), reference_difference(a, b)
+        assert (d.t_scale.bit_length() <= 64) == (grid in ("sevenths", "2^63"))
+        profile = crossing_profile(d)
+        assert profile == reference_crossing_profile(ref)
+        assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
+        at = [d.breakpoints.index(x) for x in profile.crossing_points if x in d.breakpoints]
+        seen.add(("slope", (d.slope_w > 0) - (d.slope_w < 0)))
+        seen.add(("root", len(at) < profile.n))
+        seen.add(("consecutive", any(j == i + 1 for i, j in zip(at, at[1:]))))
+        seen.add(("zero stretch", not d.slope_w and 0 in d_values(d)[1 : at[-1]]))
+    assert seen >= {
+        ("slope", 1), ("slope", -1), ("root", True), ("consecutive", True), ("zero stretch", True)
+    }
+
+
+@pytest.mark.parametrize("short_bits", [0, 10**6], ids=["pairwise", "direct"])
+def test_either_moment_sum_gives_the_reference_profile(monkeypatch, short_bits):
+    monkeypatch.setattr(ordering, "_SHORT_T_BITS", short_bits)
+    for a, b in CUT_PAIRS + pair_family(random.Random(14), "coprime", 2):
+        d = difference(a, b)
+        assert crossing_profile(d) == reference_crossing_profile(reference_difference(a, b))
+    for a, b in pair_family(random.Random(14), "coprime-spread", 4):
+        assert decide_lemma(a, b) == reference_decide_lemma(a, b)
+
+
+def test_crossing_walk_forms_g_only_at_crossings_and_at_one(monkeypatch):
+    formed = []
+    level = ordering.DiffFunction._level
+
+    def counted(self, p, g):
+        formed.append(p)
+        return level(self, p, g)
+
+    monkeypatch.setattr(ordering.DiffFunction, "_level", counted)
+    rng = random.Random(14)
+    pairs = list(CUT_PAIRS)
+    for family in ("random", "equal-mean", "coprime", "coprime-spread"):
+        pairs += pair_family(rng, family, 20 if family in ("random", "equal-mean") else 2)
+    for a, b in pairs:
+        d = difference(a, b)
+        if d.is_zero():
+            continue
+        formed.clear()
+        profile = crossing_profile(d)
+        assert 1 <= len(formed) <= profile.n + 1
+        assert "_peak" not in d.__dict__  # the cross-check never reads max_g's walk
