@@ -81,8 +81,8 @@ class InternalDisagreement(OrderingError):
 # D = F_A - F_B and its antiderivative G
 # ---------------------------------------------------------------------------
 
-# Up to this size of T both walks add each jump's W T w_j t_j to Mom
-# directly; past it they sum the pending moments pairwise when G is formed
+# Up to this size of T max_g's walk adds each jump's W T w_j t_j to Mom
+# directly; past it, it sums the pending moments pairwise when G is formed
 _SHORT_T_BITS = 64
 
 
@@ -281,8 +281,7 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     # carries W M_i, reads D's sign at both ends of each piece without T,
     # and forms G only at crossings and at 1
     t_scale, w_scale, slope_w = d.t_scale, d.w_scale, d.slope_w
-    short = t_scale.bit_length() <= _SHORT_T_BITS
-    moments: list[tuple[int, int]] = []  # (num p, den) not yet in mom, when T is long
+    moments: list[tuple[int, int]] = []  # (num p, den) not yet in mom
     points: list[tuple[int, int]] = []  # crossing points as (numerator, denominator)
     # G(0), G at each crossing, then G(1), as (numerator, denominator) over _g_scale()
     levels = [(0, 1)]
@@ -290,6 +289,17 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     walk = zip(d.points, d.positions, d.jumps)
     left, (ln, ld), (num, den) = next(walk)  # the breakpoint 0
     mass, mom = num * (w_scale // den), 0
+
+    def level(p: int) -> int:
+        # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far,
+        # with the moments since the last G summed pairwise into it first
+        nonlocal mom
+        if moments:
+            m_num, m_den = _sum_pairs(moments)
+            mom += m_num * (w_scale // m_den)
+            moments.clear()
+        return d._level(p, p * mass - mom)
+
     for p, (tn, td), (num, den) in walk:
         # D at the left end of [left, p) and just before p, times W (and,
         # with a slope, times that end's own denominator)
@@ -305,34 +315,23 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
             cross = current_sign and sign != current_sign
             root = d_right and (d_right > 0) != (first > 0)
             if cross or root:
-                if moments:
-                    m_num, m_den = _sum_pairs(moments)
-                    mom += m_num * (w_scale // m_den)
-                    moments.clear()
-                # W T G(left / T) = left W M - Mom, Mom the sum of W T w_j t_j so far
-                level = d._level(left, left * mass - mom)
+                g = level(left)
                 if cross:
                     points.append((ln, ld))
-                    levels.append((level, 1))
+                    levels.append((g, 1))
                 if root:
                     # a root inside, where G is G(left) - D(left)^2 / (2 slope)
                     d_left *= t_scale // ld
                     points.append((-mass, slope_w))
-                    levels.append((level * slope_w - d_left * d_left, slope_w))
+                    levels.append((g * slope_w - d_left * d_left, slope_w))
                     sign = -sign
             current_sign = sign
-        term = num * (w_scale // den)
-        mass += term
-        if short:
-            mom += term * p
-        else:
-            moments.append((num * p, den))
+        mass += num * (w_scale // den)
+        moments.append((num * p, den))
         left, ln, ld = p, tn, td
     if current_sign == 0:
         raise DegenerateDifference("difference is identically zero")
-    m_num, m_den = _sum_pairs(moments)
-    mom += m_num * (w_scale // m_den)
-    levels.append((d._level(t_scale, t_scale * mass - mom), 1))  # the last p is T
+    levels.append((level(t_scale), 1))  # the last p is T
     scale = d._g_scale()
     areas = tuple(
         abs(Fraction(n2 * d1 - n1 * d2, d1 * d2 * scale))

@@ -504,11 +504,12 @@ def test_integer_core_matches_the_fraction_reference(family):
 
 
 # ---------------------------------------------------------------------------
-# The crossing walk on either side of the 64-bit cut
+# The crossing walk with T on either side of max_g's 64-bit cut
 # ---------------------------------------------------------------------------
 
 # Six increasing positions near i / 7: T is 7, 2^63 (64 bits, the last
-# size that adds moments directly), 2^64, and a product of primes near 10^5
+# size at which max_g adds moments directly), 2^64, and a product of
+# primes near 10^5
 CUT_GRIDS = {
     "sevenths": [F(i, 7) for i in range(1, 7)],
     "2^63": [F(2**63 * i // 7 | 1, 2**63) for i in range(1, 7)],
@@ -559,9 +560,7 @@ def test_crossing_walk_matches_the_reference_on_either_side_of_the_cut(grid):
     }
 
 
-@pytest.mark.parametrize("short_bits", [0, 10**6], ids=["pairwise", "direct"])
-def test_either_moment_sum_gives_the_reference_profile(monkeypatch, short_bits):
-    monkeypatch.setattr(ordering, "_SHORT_T_BITS", short_bits)
+def test_crossing_walk_matches_the_reference_on_coprime_pairs():
     for a, b in CUT_PAIRS + pair_family(random.Random(14), "coprime", 2):
         d = difference(a, b)
         assert crossing_profile(d) == reference_crossing_profile(reference_difference(a, b))
