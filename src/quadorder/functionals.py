@@ -241,6 +241,27 @@ class Functional:
         )
 
 
+def _merge(atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], t_scale: int) -> tuple:
+    """(keys, positions, weights) of (position pair, weight pair) atoms:
+    each keyed by its position over T, in one stable sort, with the
+    weights that share a key added and reduced.  A key keeps the position
+    pair of its first atom."""
+    keyed = sorted([(t[0] * (t_scale // t[1]), t, w) for t, w in atoms], key=itemgetter(0))
+    keys, positions, weights = [], [], []
+    last = -1
+    for key, t, w in keyed:
+        if key == last:
+            num, den = _add_pairs(weights[-1], w)
+            common = gcd(num, den)
+            weights[-1] = (num // common, den // common)
+        else:
+            keys.append(key)
+            positions.append(t)
+            weights.append(w)
+            last = key
+    return keys, positions, weights
+
+
 def make_functional(
     atoms: Iterable[tuple[Rational, Rational]],
     uniform_weight: Rational = ZERO,
@@ -251,9 +272,9 @@ def make_functional(
     sorted.  Raises DomainError / NegativeWeightError / MassError; the
     first bad atom, in input order, is the one reported.
 
-    Each scalar is read once, to an int pair.  Atoms are ordered by an
-    exact integer key, the position over T, and the mass is summed
-    pairwise; the sum's denominator is W.
+    Each scalar is read once, to an int pair.  The mass is summed
+    pairwise, and the sum's denominator is W; _merge orders the atoms by
+    an exact integer key, the position over T.
     """
     uniform = as_fraction(uniform_weight)
     if uniform.numerator < 0:
@@ -272,20 +293,8 @@ def make_functional(
     total, w_scale = _sum_pairs([(uniform.numerator, uniform.denominator), *(w for _, w in parsed)])
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
-    keyed = sorted(((t[0] * (t_scale // t[1]), t, w) for t, w in parsed), key=itemgetter(0))
-    positions: list[tuple[int, int]] = []
-    weights: list[tuple[int, int]] = []
-    last_key = -1
-    for key, t, w in keyed:
-        if key == last_key:
-            num, den = _add_pairs(weights[-1], w)
-            common = gcd(num, den)
-            weights[-1] = (num // common, den // common)
-        else:
-            positions.append(t)
-            weights.append(w)
-            last_key = key
-    if len(weights) < len(keyed):
+    _, positions, weights = _merge(parsed, t_scale)
+    if len(weights) < len(parsed):
         # a merged weight's denominator can be smaller than its parts'
         w_scale = _lcm({uniform.denominator, *(den for _, den in weights)})
     return Functional(tuple(positions), tuple(weights), uniform, t_scale, w_scale)
@@ -293,7 +302,7 @@ def make_functional(
 
 def from_paper_convention(
     pairs: Iterable[tuple[Rational, Rational]],
-    uniform_weight: Rational = 0,
+    uniform_weight: Rational = ZERO,
 ) -> Functional:
     """Build a functional from (weight, coefficient) pairs.
 
@@ -303,10 +312,10 @@ def from_paper_convention(
     """
     mapped = []
     for weight, alpha in pairs:
-        c = as_fraction(alpha)
-        if not ZERO <= c <= ONE:
-            raise DomainError(f"coefficient {c} outside [0, 1]")
-        mapped.append((ONE - c, as_fraction(weight)))
+        num, den = _as_pair(alpha)
+        if not 0 <= num <= den:
+            raise DomainError(f"coefficient {_show((num, den))} outside [0, 1]")
+        mapped.append((Fraction(den - num, den), as_fraction(weight)))
     return make_functional(mapped, uniform_weight)
 
 

@@ -25,15 +25,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from fractions import Fraction
-from math import gcd, lcm
-from operator import itemgetter
+from math import lcm
 from typing import Optional, Union
 
 from .functionals import (
     Functional,
     FunctionalError,
     ZERO,
-    _add_pairs,
+    _merge,
     _sum_pairs,
     as_fraction,
     evaluate,
@@ -206,7 +205,7 @@ def difference(a: Functional, b: Functional) -> DiffFunction:
     Every position of both sides is scaled to T = lcm(T_a, T_b) and every
     weight is read over W = lcm(W_a, W_b), straight from the functionals'
     int pairs.  The signed atoms (+w from a, -w from b) are merged by
-    position in one stable sort of the two sorted runs; atoms of both
+    make_functional's merge, one stable sort by position; atoms of both
     sides at one position become one jump.
     """
     t_scale = lcm(a.t_scale, b.t_scale)
@@ -215,23 +214,14 @@ def difference(a: Functional, b: Functional) -> DiffFunction:
         a.uniform_weight.numerator * (w_scale // a.uniform_weight.denominator)
         - b.uniform_weight.numerator * (w_scale // b.uniform_weight.denominator)
     )
+    # 0 and 1 are always breakpoints, with zero-weight entries first and last
     signed = [
-        (tn * (t_scale // td), sign * wn, wd, (tn, td))
-        for sign, f in ((1, a), (-1, b))
-        for (tn, td), (wn, wd) in zip(f.position_pairs, f.weight_pairs)
+        ((0, 1), (0, 1)),
+        *zip(a.position_pairs, a.weight_pairs),
+        *[(t, (-wn, wd)) for t, (wn, wd) in zip(b.position_pairs, b.weight_pairs)],
+        ((1, 1), (0, 1)),
     ]
-    signed.append((t_scale, 0, 1, (1, 1)))  # 1 is always a breakpoint
-    signed.sort(key=itemgetter(0))
-    points, positions, jumps = [0], [(0, 1)], [(0, 1)]
-    for p, num, den, position in signed:
-        if p == points[-1]:
-            num, den = _add_pairs(jumps[-1], (num, den))
-            common = gcd(num, den)
-            jumps[-1] = (num // common, den // common)
-        else:
-            points.append(p)
-            positions.append(position)
-            jumps.append((num, den))
+    points, positions, jumps = _merge(signed, t_scale)
     return DiffFunction(t_scale, w_scale, slope_w, tuple(points), tuple(positions), tuple(jumps))
 
 
@@ -283,8 +273,9 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     t_scale, w_scale, slope_w = d.t_scale, d.w_scale, d.slope_w
     moments: list[tuple[int, int]] = []  # (num p, den) not yet in mom
     points: list[tuple[int, int]] = []  # crossing points as (numerator, denominator)
-    # G(0), G at each crossing, then G(1), as (numerator, denominator) over _g_scale()
-    levels = [(0, 1)]
+    # G(0), G at each crossing, then G(1), as ints over unit * _g_scale()
+    unit = slope_w or 1
+    levels = [0]
     current_sign = 0
     walk = zip(d.points, d.positions, d.jumps)
     left, (ln, ld), (num, den) = next(walk)  # the breakpoint 0
@@ -318,12 +309,12 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
                 g = level(left)
                 if cross:
                     points.append((ln, ld))
-                    levels.append((g, 1))
+                    levels.append(g * unit)
                 if root:
                     # a root inside, where G is G(left) - D(left)^2 / (2 slope)
                     d_left *= t_scale // ld
                     points.append((-mass, slope_w))
-                    levels.append((g * slope_w - d_left * d_left, slope_w))
+                    levels.append(g * slope_w - d_left * d_left)
                     sign = -sign
             current_sign = sign
         mass += num * (w_scale // den)
@@ -331,12 +322,9 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
         left, ln, ld = p, tn, td
     if current_sign == 0:
         raise DegenerateDifference("difference is identically zero")
-    levels.append((level(t_scale), 1))  # the last p is T
-    scale = d._g_scale()
-    areas = tuple(
-        abs(Fraction(n2 * d1 - n1 * d2, d1 * d2 * scale))
-        for (n1, d1), (n2, d2) in zip(levels, levels[1:])
-    )
+    levels.append(level(t_scale) * unit)  # the last p is T
+    scale = abs(unit) * d._g_scale()
+    areas = tuple(Fraction(abs(g2 - g1), scale) for g1, g2 in zip(levels, levels[1:]))
     # the sign flips at every crossing
     initial_sign = current_sign if len(points) % 2 == 0 else -current_sign
     return CrossingProfile(tuple(Fraction(n, m) for n, m in points), areas, initial_sign)
@@ -460,8 +448,7 @@ def decide_lemma(a: Functional, b: Functional) -> Verdict:
     fails; the witness is a crossing point where G is provably positive.
     """
     d = difference(a, b)
-    if d.is_zero():
-        raise DegenerateDifference("functionals are equal; nothing to cross")
+    # a zero D has G(1) = 0, and crossing_profile refuses it
     if d.g_end() != 0:
         raise MeansDiffer(f"barycenters differ: G(1) = {d.g_end()} != 0")
     return _lemma_verdict(crossing_profile(d))

@@ -30,7 +30,7 @@ from .functionals import (
     UNIFORM,
     _sum_pairs,
     as_fraction,
-    make_functional,
+    from_paper_convention,
 )
 
 __all__ = [
@@ -237,33 +237,17 @@ def check_params(p: TheoremParams) -> CaseCheck:
 
 def functional_pair(p: TheoremParams) -> tuple[Functional, Functional]:
     """The pair (A, B) whose convex-order comparison the case checker
-    characterizes: holds(p) should coincide with decide(A, B)."""
+    characterizes: holds(p) should coincide with decide(A, B).  Each rule
+    is written as the paper writes it, as (a_i, alpha_i) pairs."""
     if isinstance(p, ThreeNodeLowerParams):
-        rule = make_functional(
-            [
-                (ONE - p.alpha1, p.a1),
-                (ONE - p.alpha2, p.a2),
-                (ONE - p.alpha3, p.a3),
-            ]
-        )
+        rule = from_paper_convention([(p.a1, p.alpha1), (p.a2, p.alpha2), (p.a3, p.alpha3)])
         return rule, UNIFORM
     if isinstance(p, FourNodeUpperParams):
-        rule = make_functional(
-            [
-                (Fraction(0), p.a1),
-                (ONE - p.alpha2, p.a2),
-                (ONE - p.alpha3, p.a3),
-                (ONE, p.a4),
-            ]
-        )
+        rule = from_paper_convention([(p.a1, 1), (p.a2, p.alpha2), (p.a3, p.alpha3), (p.a4, 0)])
         return UNIFORM, rule
     if isinstance(p, TwoVsThreeParams):
-        two = make_functional(
-            [(ONE - p.alpha1, p.a), (ONE - p.alpha2, ONE - p.a)]
-        )
-        three = make_functional(
-            [(Fraction(0), p.b1), (ONE - p.beta, p.b2), (ONE, p.b3)]
-        )
+        two = from_paper_convention([(p.a, p.alpha1), (ONE - p.a, p.alpha2)])
+        three = from_paper_convention([(p.b1, 1), (p.b2, p.beta), (p.b3, 0)])
         return two, three
     raise TypeError(f"unknown parameter record {p!r}")
 

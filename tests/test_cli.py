@@ -418,6 +418,22 @@ def test_threshold_nothing_holds_is_an_error(capsys):
     assert "no grid point holds" in err
 
 
+def test_threshold_all_holding_without_a_fail_direction_is_an_error(capsys):
+    # twoVsThree's b1 declares no fail direction, so an all-holds grid
+    # cannot be extended toward a boundary
+    code, out, err = run(
+        capsys,
+        "threshold",
+        "--family", "twoVsThree",
+        "--sweep", "b1=1/6:1/6:1",
+        "--fix", "b2=2/3",
+        "--fix", "b3=1/6",
+        "--fix", "alpha=3/5",
+    )
+    assert code == 2 and out == ""
+    assert "declares no fail direction for 'b1'" in err
+
+
 def test_threshold_two_switches_is_an_error():
     # Two atoms at p and 1-p against uniform hold only for 1/4 <= p <= 3/4.
     family = Family(
@@ -735,6 +751,11 @@ def test_agree_deterministic(capsys):
 def test_agree_rejects_bad_samples(capsys):
     code, _, err = run(capsys, "agree", "two-vs-three", "--samples", "0")
     assert code == 2
+
+
+def test_run_agreement_rejects_an_unknown_theorem():
+    with pytest.raises(cli.CLIError, match="unknown theorem id 'nope'"):
+        cli.run_agreement("nope", 1, 0)
 
 
 @pytest.mark.parametrize("theorem", cli.THEOREM_IDS)

@@ -147,6 +147,16 @@ def test_number_grammar_table():
             assert str(caught.value) == f"cannot parse rational {text!r}: {expected}"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit here"
+)
+def test_a_numerator_past_the_int_digit_limit_is_refused():
+    for text in ("7" * 5000, "7" * 5000 + "/3"):
+        with pytest.raises(FunctionalError) as caught:
+            as_fraction(text)
+        assert str(caught.value).startswith(f"cannot parse rational {text!r}: ")
+
+
 # Pieces of number-like strings: ASCII and other Unicode decimal digits, a
 # superscript digit (not decimal), the grammar's punctuation, spaces, and
 # letters near it: e and E (exponents, refused) and d (once read in the
@@ -287,6 +297,17 @@ def test_paper_convention_symmetric():
     f = from_paper_convention([(F(1, 2), F("0.9")), (F(1, 2), F(1, 10))])
     assert [x.position for x in f.atoms] == [F(1, 10), F(9, 10)]
     assert [a.weight for a in f.atoms] == [F(1, 2), F(1, 2)]
+
+
+def test_paper_convention_reports_the_first_bad_pair_in_input_order():
+    # the first pair's weight is read before the second pair's coefficient
+    with pytest.raises(FunctionalError) as caught:
+        from_paper_convention([("x", "1/2"), (1, "3/2")])
+    assert str(caught.value).startswith("cannot parse rational 'x'")
+    for alpha, shown in (("3/2", "3/2"), ("-1/4", "-1/4"), (2, "2")):
+        with pytest.raises(DomainError) as caught:
+            from_paper_convention([(1, alpha)])
+        assert str(caught.value) == f"coefficient {shown} outside [0, 1]"
 
 
 # ---------------------------------------------------------------------------

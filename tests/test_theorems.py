@@ -14,6 +14,7 @@ from quadorder import (
     TwoVsThreeParams,
     UNIFORM,
     check_four_node_upper,
+    check_params,
     check_three_node_lower,
     check_two_vs_three,
     crossing_profile,
@@ -317,3 +318,10 @@ def test_params_from_json_rejects_what_is_not_a_record():
     ):
         with pytest.raises(ParamError):
             params_from_json(bad)
+
+
+@pytest.mark.parametrize("call", [check_params, functional_pair])
+def test_a_non_record_is_a_type_error(call):
+    for bad in (None, {"family": "two-vs-three"}, UNIFORM):
+        with pytest.raises(TypeError, match="unknown parameter record"):
+            call(bad)
