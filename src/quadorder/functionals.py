@@ -9,8 +9,10 @@ piecewise-linear, right-continuous step/ramp mixture.
 All arithmetic in this module is exact.  A Functional holds each atom
 position and weight as a (numerator, denominator) int pair in lowest
 terms, with T and W, the common denominators of its positions and of
-its weights, computed once; make_functional orders atoms as ints over T
-and sums their weights pairwise (_sum_pairs), which yields W.  Every
+its weights, computed once; make_functional orders atoms by an exact
+integer key (the position over T while T fits _SHORT_T_BITS, else the
+position scaled by a power of two only as large as its own denominators
+need) and sums their weights pairwise (_sum_pairs), which yields W.  Every
 input string is read straight to such a pair by one number grammar (see
 _read_rational), whatever the Python version.  Floats are rejected at
 the boundary: decisions downstream hinge on sharp equalities, and a
@@ -241,12 +243,29 @@ class Functional:
         )
 
 
+# Up to this size of T a position's key is the position over T, and the
+# walks over D carry breakpoints as ints over T; past it, no T-sized number
+# is formed per atom
+_SHORT_T_BITS = 64
+
+
 def _merge(atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], t_scale: int) -> tuple:
     """(keys, positions, weights) of (position pair, weight pair) atoms:
-    each keyed by its position over T, in one stable sort, with the
+    each keyed by an exact integer key, in one stable sort, with the
     weights that share a key added and reduced.  A key keeps the position
-    pair of its first atom."""
-    keyed = sorted([(t[0] * (t_scale // t[1]), t, w) for t, w in atoms], key=itemgetter(0))
+    pair of its first atom.
+
+    While T fits _SHORT_T_BITS the key is the position over T.  Past it,
+    the key of t is floor(t 2^s), s twice the bit length of the largest
+    position denominator D: two distinct positions differ by at least
+    1 / D^2 > 2^-s, so the keys keep their order and equal positions,
+    however written, share one, at a cost of the denominator's size."""
+    if t_scale.bit_length() <= _SHORT_T_BITS:
+        keyed = [(t[0] * (t_scale // t[1]), t, w) for t, w in atoms]
+    else:
+        shift = 2 * max(t[1] for t, _ in atoms).bit_length()
+        keyed = [((t[0] << shift) // t[1], t, w) for t, w in atoms]
+    keyed.sort(key=itemgetter(0))
     keys, positions, weights = [], [], []
     last = -1
     for key, t, w in keyed:
@@ -262,27 +281,17 @@ def _merge(atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], t_scale: in
     return keys, positions, weights
 
 
-def make_functional(
-    atoms: Iterable[tuple[Rational, Rational]],
-    uniform_weight: Rational = ZERO,
+def _normalize(
+    atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], uniform_weight: Rational
 ) -> Functional:
-    """Validate and normalize a functional.
-
-    Coincident atom positions are merged, zero weights dropped, atoms
-    sorted.  Raises DomainError / NegativeWeightError / MassError; the
-    first bad atom, in input order, is the one reported.
-
-    Each scalar is read once, to an int pair.  The mass is summed
-    pairwise, and the sum's denominator is W; _merge orders the atoms by
-    an exact integer key, the position over T.
-    """
+    """The shared validate-and-merge step of make_functional and
+    from_paper_convention: atoms are (position, weight) int pairs in
+    lowest terms, checked in order, so the first bad one is reported."""
     uniform = as_fraction(uniform_weight)
     if uniform.numerator < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
     parsed = []
-    for position, weight in atoms:
-        t = _as_pair(position)
-        w = _as_pair(weight)
+    for t, w in atoms:
         if t[0] < 0 or t[0] > t[1]:
             raise DomainError(f"atom position {_show(t)} outside [0, 1]")
         if w[0] < 0:
@@ -300,6 +309,23 @@ def make_functional(
     return Functional(tuple(positions), tuple(weights), uniform, t_scale, w_scale)
 
 
+def make_functional(
+    atoms: Iterable[tuple[Rational, Rational]],
+    uniform_weight: Rational = ZERO,
+) -> Functional:
+    """Validate and normalize a functional.
+
+    Coincident atom positions are merged, zero weights dropped, atoms
+    sorted.  Raises DomainError / NegativeWeightError / MassError; the
+    first bad atom, in input order, is the one reported.
+
+    Each scalar is read once, to an int pair.  The mass is summed
+    pairwise, and the sum's denominator is W; _merge orders the atoms by
+    an exact integer key.
+    """
+    return _normalize(((_as_pair(t), _as_pair(w)) for t, w in atoms), uniform_weight)
+
+
 def from_paper_convention(
     pairs: Iterable[tuple[Rational, Rational]],
     uniform_weight: Rational = ZERO,
@@ -315,8 +341,9 @@ def from_paper_convention(
         num, den = _as_pair(alpha)
         if not 0 <= num <= den:
             raise DomainError(f"coefficient {_show((num, den))} outside [0, 1]")
-        mapped.append((Fraction(den - num, den), as_fraction(weight)))
-    return make_functional(mapped, uniform_weight)
+        # 1 - num/den is in lowest terms when num/den is
+        mapped.append(((den - num, den), _as_pair(weight)))
+    return _normalize(mapped, uniform_weight)
 
 
 def evaluate(func: Functional, s: Rational) -> Fraction:

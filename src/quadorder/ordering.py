@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .functionals import (
     Functional,
     FunctionalError,
     ZERO,
+    _SHORT_T_BITS,
     _merge,
     _sum_pairs,
     as_fraction,
@@ -80,17 +81,12 @@ class InternalDisagreement(OrderingError):
 # D = F_A - F_B and its antiderivative G
 # ---------------------------------------------------------------------------
 
-# Up to this size of T max_g's walk adds each jump's W T w_j t_j to Mom
-# directly; past it, it sums the pending moments pairwise when G is formed
-_SHORT_T_BITS = 64
-
-
 @dataclass(frozen=True)
 class DiffFunction:
     """The difference D of two distribution functions and its
     antiderivative G, exactly, on integers over common denominators.
 
-    Breakpoint i is points[i] / T, T = t_scale, running from 0 to 1.
+    Breakpoint i is positions[i] in lowest terms, running from 0 to 1.
     jumps[i] is the atom mass difference at breakpoint i (A's atoms count
     +, B's -) as (numerator, denominator) in lowest terms; every such
     denominator divides W = w_scale.  Both distribution functions rise
@@ -106,16 +102,20 @@ class DiffFunction:
     b_i's denominator), and form G only where they need it: max_g at 1 and
     where D turns from > 0 to <= 0, at a breakpoint or at the vertex of a
     piece (the same walk gives g_end); crossing_profile at 1 and at each
-    crossing.  Fractions are built only for what is returned; breakpoints
-    and cumulative (G(b_i) at every breakpoint) when read.
+    crossing.  While T = t_scale fits _SHORT_T_BITS, short_points holds
+    each breakpoint over T, p_i = b_i T, and the walks use it.  Past it,
+    short_points is None: the walks keep each jump's moment as the small
+    pair (num t_n, den t_d) and scale a breakpoint to T only where G is
+    formed.  Fractions are built only for what is returned; points,
+    breakpoints and cumulative (G(b_i) at every breakpoint) when read.
     """
 
     t_scale: int
     w_scale: int
     slope_w: int
-    points: tuple[int, ...]
-    positions: tuple[tuple[int, int], ...]  # points[i] / T in lowest terms
+    positions: tuple[tuple[int, int], ...]
     jumps: tuple[tuple[int, int], ...]
+    short_points: Optional[tuple[int, ...]]
 
     def _g_scale(self) -> int:
         """The denominator of the G numerators that _level returns."""
@@ -128,6 +128,19 @@ class DiffFunction:
         if self.slope_w:
             return 2 * self.t_scale * g + self.slope_w * p * p
         return g
+
+    def _walk(self) -> Iterator[tuple[Optional[int], tuple[int, int], tuple[int, int]]]:
+        """(p_i or None past the cut, position, jump) at each breakpoint."""
+        points = self.short_points
+        return zip(repeat(None) if points is None else points, self.positions, self.jumps)
+
+    @property
+    def points(self) -> tuple[int, ...]:
+        """Each breakpoint over T, p_i = b_i T."""
+        if self.short_points is not None:
+            return self.short_points
+        t_scale = self.t_scale
+        return tuple(tn * (t_scale // td) for tn, td in self.positions)
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -148,14 +161,15 @@ class DiffFunction:
         """(G(1), best, best_den, s*): G(1) and max G = best / best_den over
         _g_scale(), first reached at s* = (numerator, denominator)."""
         t_scale, w_scale, slope_w = self.t_scale, self.w_scale, self.slope_w
-        # With T past a machine word, adding p W w_j to Mom at each jump would
-        # be a T-by-W product, so the moments (num p, den) since the last
-        # candidate are kept and summed pairwise when G is formed
-        short = t_scale.bit_length() <= _SHORT_T_BITS
+        # Mom, the sum of W T w_j t_j so far, grows by term p at each jump
+        # while T is short; past the cut, adding it would be a T-by-W
+        # product, so the moments w_j t_j since the last candidate are kept
+        # as pairs and summed pairwise into Mom when G is formed
+        wt_scale = w_scale * t_scale
         moments: list[tuple[int, int]] = []
         mass = mom = d_at = 0
         best, best_den, s_star = 0, 1, (0, 1)
-        for p, (tn, td), (num, den) in zip(self.points, self.positions, self.jumps):
+        for p, (tn, td), (num, den) in self._walk():
             # D at the last breakpoint, just before p and at p, times W (and,
             # with a slope, times that breakpoint's own denominator): exact
             # signs without T
@@ -163,20 +177,21 @@ class DiffFunction:
             term = num * (w_scale // den)
             mass += term
             d_at = d_before + term * td if slope_w else mass
-            if short:
-                mom += term * p
+            if p is None:
+                moments.append((num * tn, den * td))
             else:
-                moments.append((num * p, den))
+                mom += term * p
             # candidates: where D turns from > 0 to <= 0 at p or inside the
             # piece before p (its vertex), and 1
-            if d_left > 0 >= d_before or d_before > 0 >= d_at or p == t_scale:
-                if moments:
+            if d_left > 0 >= d_before or d_before > 0 >= d_at or tn == td:
+                if p is None:
+                    p = tn * (t_scale // td)
                     m_num, m_den = _sum_pairs(moments)
-                    mom += m_num * (w_scale // m_den)
+                    mom += m_num * (wt_scale // m_den)
                     moments.clear()
-                # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far
+                # W T G(p / T) = p W M - Mom
                 g = self._level(p, p * mass - mom)
-                top, top_den, s = g, 1, (p, t_scale)
+                top, top_den, s = g, 1, (tn, td)
                 if d_left > 0 > d_before:
                     # the vertex beats p: G there is G(p) + D(p-)^2 / (2 |slope|)
                     d_before *= t_scale // td
@@ -184,7 +199,7 @@ class DiffFunction:
                     s = (slope_w * p - d_before, slope_w * t_scale)
                 if top * best_den > best * top_den:
                     best, best_den, s_star = top, top_den, s
-        return g, best, best_den, s_star  # the last p is T, so g is G(1)
+        return g, best, best_den, s_star  # the last breakpoint is 1, so g is G(1)
 
     def g_end(self) -> Fraction:
         """G(1), the barycenter of B minus that of A, from max_g's walk."""
@@ -202,11 +217,13 @@ class DiffFunction:
 def difference(a: Functional, b: Functional) -> DiffFunction:
     """Exact D = F_a - F_b and G on the merged breakpoint set.
 
-    Every position of both sides is scaled to T = lcm(T_a, T_b) and every
-    weight is read over W = lcm(W_a, W_b), straight from the functionals'
-    int pairs.  The signed atoms (+w from a, -w from b) are merged by
-    make_functional's merge, one stable sort by position; atoms of both
-    sides at one position become one jump.
+    T = lcm(T_a, T_b) and W = lcm(W_a, W_b) are taken once, and every
+    weight is read over W, straight from the functionals' int pairs.  The
+    signed atoms (+w from a, -w from b) are merged by make_functional's
+    merge, one stable sort by position; atoms of both sides at one
+    position become one jump.  The merge's keys are the breakpoints over T
+    while T fits _SHORT_T_BITS, and are kept as short_points; past it no
+    breakpoint is scaled to T here.
     """
     t_scale = lcm(a.t_scale, b.t_scale)
     w_scale = lcm(a.w_scale, b.w_scale)
@@ -221,8 +238,9 @@ def difference(a: Functional, b: Functional) -> DiffFunction:
         *[(t, (-wn, wd)) for t, (wn, wd) in zip(b.position_pairs, b.weight_pairs)],
         ((1, 1), (0, 1)),
     ]
-    points, positions, jumps = _merge(signed, t_scale)
-    return DiffFunction(t_scale, w_scale, slope_w, tuple(points), tuple(positions), tuple(jumps))
+    keys, positions, jumps = _merge(signed, t_scale)
+    short_points = tuple(keys) if t_scale.bit_length() <= _SHORT_T_BITS else None
+    return DiffFunction(t_scale, w_scale, slope_w, tuple(positions), tuple(jumps), short_points)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +287,31 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     """
     # One walk over the jumps, like max_g's but independent of it: it
     # carries W M_i, reads D's sign at both ends of each piece without T,
-    # and forms G only at crossings and at 1
+    # and forms G only at crossings and at 1.  Each jump's moment waits as
+    # a pair until G is formed: (num p, den), a part of Mom over W, while T
+    # is short, and past the cut (num t_n, den t_d), a part of Mom over W T
     t_scale, w_scale, slope_w = d.t_scale, d.w_scale, d.slope_w
-    moments: list[tuple[int, int]] = []  # (num p, den) not yet in mom
+    mom_scale = w_scale if d.short_points is not None else w_scale * t_scale
+    moments: list[tuple[int, int]] = []  # moments not yet in mom
     points: list[tuple[int, int]] = []  # crossing points as (numerator, denominator)
     # G(0), G at each crossing, then G(1), as ints over unit * _g_scale()
     unit = slope_w or 1
     levels = [0]
     current_sign = 0
-    walk = zip(d.points, d.positions, d.jumps)
+    walk = d._walk()
     left, (ln, ld), (num, den) = next(walk)  # the breakpoint 0
     mass, mom = num * (w_scale // den), 0
 
-    def level(p: int) -> int:
+    def level(p: Optional[int], tn: int, td: int) -> int:
         # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far,
         # with the moments since the last G summed pairwise into it first
         nonlocal mom
         if moments:
             m_num, m_den = _sum_pairs(moments)
-            mom += m_num * (w_scale // m_den)
+            mom += m_num * (mom_scale // m_den)
             moments.clear()
+        if p is None:
+            p = tn * (t_scale // td)
         return d._level(p, p * mass - mom)
 
     for p, (tn, td), (num, den) in walk:
@@ -306,7 +329,7 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
             cross = current_sign and sign != current_sign
             root = d_right and (d_right > 0) != (first > 0)
             if cross or root:
-                g = level(left)
+                g = level(left, ln, ld)
                 if cross:
                     points.append((ln, ld))
                     levels.append(g * unit)
@@ -318,11 +341,11 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
                     sign = -sign
             current_sign = sign
         mass += num * (w_scale // den)
-        moments.append((num * p, den))
+        moments.append((num * tn, den * td) if p is None else (num * p, den))
         left, ln, ld = p, tn, td
     if current_sign == 0:
         raise DegenerateDifference("difference is identically zero")
-    levels.append(level(t_scale) * unit)  # the last p is T
+    levels.append(level(left, ln, ld) * unit)  # the last breakpoint is 1
     scale = abs(unit) * d._g_scale()
     areas = tuple(Fraction(abs(g2 - g1), scale) for g1, g2 in zip(levels, levels[1:]))
     # the sign flips at every crossing

@@ -29,7 +29,7 @@ from quadorder import (
     make_functional,
 )
 from quadorder.cli import eval_rational_expr
-from quadorder.functionals import _sum_pairs
+from quadorder.functionals import _SHORT_T_BITS, _lcm, _merge, _sum_pairs
 from helpers import (
     NUMBER_GRAMMAR,
     UNIT_AT_ONE,
@@ -62,6 +62,50 @@ def test_coincident_atoms_merge_and_sort():
     f = make_functional([(F(3, 4), F(1, 2)), (F(1, 4), F(1, 3)), (F(1, 4), F(1, 6))])
     assert [x.position for x in f.atoms] == [F(1, 4), F(3, 4)]
     assert [a.weight for a in f.atoms] == [F(1, 2), F(1, 2)]
+
+
+# Positions with coprime denominators above 2^40 that differ by exactly
+# 1 / (D1 D2), the least gap two such positions can have; their T is past
+# the 64-bit cut, where the merge keys a position by floor(t 2^s)
+D1, D2 = 2**41 + 1, 2**41 + 3
+K2 = pow(D1, -1, D2)
+X1, X2 = F((K2 * D1 - 1) // D2, D1), F(K2, D2)
+
+
+def test_the_merge_key_past_the_cut_orders_and_merges_exactly():
+    assert X2 - X1 == F(1, D1 * D2)
+    # 2/4 and 1/2 are one position, and so are X1 and 3 X1.num / 3 D1
+    positions = [
+        (X2.numerator, D2), (2, 4), (X1.numerator, D1), (0, 1),
+        (1, 2), (3 * X1.numerator, 3 * D1), (1, 1), (X2.numerator - 1, D2),
+    ]
+    t_scale = _lcm(den for _, den in positions)
+    assert t_scale.bit_length() > _SHORT_T_BITS
+    rng = random.Random(16)
+    for _ in range(20):
+        atoms = [(t, (i + 1, 64)) for i, t in enumerate(positions)]
+        rng.shuffle(atoms)
+        keys, merged, weights = _merge(atoms, t_scale)
+        want: dict = {}
+        for t, w in atoms:
+            want[F(*t)] = want.get(F(*t), 0) + F(*w)
+        # sorted as Fractions sort, one entry per distinct position
+        assert [F(*t) for t in merged] == sorted(want)
+        assert [F(*w) for w in weights] == [want[t] for t in sorted(want)]
+        assert keys == sorted(set(keys))
+        # each merged entry keeps the pair of its first atom
+        firsts = {}
+        for t, _ in atoms:
+            firsts.setdefault(F(*t), t)
+        assert merged == [firsts[F(*t)] for t in merged]
+
+
+def test_make_functional_past_the_cut_matches_the_fraction_reference():
+    raw = [(X2, F(1, 4)), ("2/4", F(1, 8)), (X1, F(1, 4)), ("1/2", F(1, 8)), (X1, F(1, 4))]
+    f = make_functional(raw)
+    assert f.t_scale.bit_length() > _SHORT_T_BITS
+    assert (f.atoms, f.uniform_weight) == reference_make_functional(raw)
+    assert [x.position for x in f.atoms] == sorted([F(1, 2), X1, X2])
 
 
 def test_zero_weights_dropped():

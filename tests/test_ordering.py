@@ -48,6 +48,7 @@ from helpers import (
     reference_decide,
     reference_decide_lemma,
     reference_difference,
+    reference_make_functional,
 )
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -275,6 +276,19 @@ def test_verify_witness_rejects_forged_witnesses():
     assert not verify_witness(MIDPOINT, UNIFORM, Verdict(HOLDS, HingeWitness(F(1, 2), F(1, 8))))
     assert not verify_witness(UNIFORM, heavy_left, Verdict(HOLDS, LinearWitness(1)))
     assert not verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS))
+
+
+def test_verify_witness_wants_a_strict_separation():
+    # A hinge whose true gap is 0 reproduces a claimed gap of 0 exactly,
+    # and is still no witness: the gap must be positive
+    for a, b, s in ((TRAPEZOID, MIDPOINT, 0), (TRAPEZOID, MIDPOINT, 1), (MIDPOINT, UNIFORM, 0)):
+        assert evaluate(a, s) == evaluate(b, s)
+        assert not verify_witness(a, b, Verdict(FAILS, HingeWitness(F(s), F(0))))
+    # On equal barycenters no linear map separates, in either direction
+    assert evaluate(MIDPOINT, 0) == evaluate(UNIFORM, 0)
+    for a, b in ((MIDPOINT, UNIFORM), (UNIFORM, MIDPOINT)):
+        for direction in (1, -1):
+            assert not verify_witness(a, b, Verdict(FAILS, LinearWitness(direction)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +580,41 @@ def test_crossing_walk_matches_the_reference_on_coprime_pairs():
         assert crossing_profile(d) == reference_crossing_profile(reference_difference(a, b))
     for a, b in pair_family(random.Random(14), "coprime-spread", 4):
         assert decide_lemma(a, b) == reference_decide_lemma(a, b)
+
+
+def test_past_the_cut_the_2_64_grid_matches_the_reference():
+    # The grid's first pair, built again from unsorted atoms with one
+    # position given twice
+    x = CUT_GRIDS["2^64"]
+    raw_a = [(x[4], F(1, 4)), (x[0], F(1, 8)), (x[2], F(1, 2)), (x[0], F(1, 8))]
+    raw_b = [(x[3], F(1, 2)), (x[1], F(1, 2))]
+    assert (make_functional(raw_a), make_functional(raw_b)) == next(_cut_pairs(x))
+    for raw in (raw_a, raw_b):
+        f = make_functional(raw)
+        assert (f.atoms, f.uniform_weight) == reference_make_functional(raw)
+    for a, b in _cut_pairs(x):
+        d, ref = difference(a, b), reference_difference(a, b)
+        assert d.short_points is None
+        assert (d.breakpoints, d_values(d), d_slope(d), d.cumulative) == (
+            ref.breakpoints, ref.values, ref.slope, ref.cumulative
+        )
+        assert (d.g_end(), d.max_g()) == (ref.g_end(), ref.max_g())
+
+
+def test_past_the_cut_the_walks_scale_no_breakpoint_to_t(monkeypatch):
+    def scaled(*args):
+        raise AssertionError("a breakpoint over T was read")
+
+    monkeypatch.setattr(ordering.DiffFunction, "points", property(scaled))
+    monkeypatch.setattr(ordering.DiffFunction, "cumulative", property(scaled))
+    rng = random.Random(16)
+    pairs = CUT_PAIRS + pair_family(rng, "coprime", 2) + pair_family(rng, "coprime-spread", 4)
+    pairs = [(a, b) for a, b in pairs if difference(a, b).short_points is None]
+    assert len(pairs) == 30  # the 2^64 and primes grids, and every coprime pair
+    for a, b in pairs:
+        assert decide(a, b) == reference_decide(a, b)
+        want = reference_crossing_profile(reference_difference(a, b))
+        assert crossing_profile(difference(a, b)) == want
 
 
 def test_crossing_walk_forms_g_only_at_crossings_and_at_one(monkeypatch):

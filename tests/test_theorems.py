@@ -71,6 +71,22 @@ def test_three_node_rejects_degenerate_params():
         ThreeNodeLowerParams(F(1, 2), F(1, 4), F(1, 2), F(3, 4), F(1, 2), F(1, 4))
 
 
+def test_node_order_ties_are_refused():
+    # Equal nodes are refused and nodes a hair apart are not, so each
+    # strict node-order check is pinned on both sides
+    hair = F(1, 10**9)
+    three = (F(1, 4), F(1, 2), F(1, 4), F(3, 4), F(1, 2))  # all but alpha3
+    ThreeNodeLowerParams(*three, F(1, 2) - hair)
+    with pytest.raises(ParamError) as caught:
+        ThreeNodeLowerParams(*three, F(1, 2))
+    assert str(caught.value) == "need alpha1 > alpha2 > alpha3"
+    right = (F(1, 2), F(1, 6), F(2, 3), F(1, 6))  # beta, b1, b2, b3
+    TwoVsThreeParams(F(1, 2), F(1, 2) + hair, F(1, 2), *right)
+    with pytest.raises(ParamError) as caught:
+        TwoVsThreeParams(F(1, 2), F(1, 2), F(1, 2), *right)
+    assert str(caught.value) == "need alpha1 > alpha2 (distinct left-side nodes)"
+
+
 def test_param_records_report_the_first_bad_field():
     # Fields are read in declaration order, each coerced and then checked
     # against (0, 1), before the sum and ordering checks.
