@@ -102,11 +102,13 @@ class DiffFunction:
     b_i's denominator), and form G only where they need it: max_g at 1 and
     where D turns from > 0 to <= 0, at a breakpoint or at the vertex of a
     piece (the same walk gives g_end); crossing_profile at 1 and at each
-    crossing.  While T = t_scale fits _SHORT_T_BITS, short_points holds
-    each breakpoint over T, p_i = b_i T, and the walks use it.  Past it,
-    short_points is None: the walks keep each jump's moment as the small
-    pair (num t_n, den t_d) and scale a breakpoint to T only where G is
-    formed.  Fractions are built only for what is returned; points,
+    crossing.  Both grow Mom, the sum of W T w_j t_j, by one rule.  While
+    T = t_scale fits _SHORT_T_BITS, short_points holds each breakpoint
+    over T, p_i = b_i T, and each jump adds W w_j p_j to Mom as it comes.
+    Past it, short_points is None: each jump's moment waits as the small
+    pair (num t_n, den t_d), and only where G is formed are the pairs
+    since the last G summed pairwise into Mom and a breakpoint scaled to
+    T.  Fractions are built only for what is returned; points,
     breakpoints and cumulative (G(b_i) at every breakpoint) when read.
     """
 
@@ -287,12 +289,13 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     """
     # One walk over the jumps, like max_g's but independent of it: it
     # carries W M_i, reads D's sign at both ends of each piece without T,
-    # and forms G only at crossings and at 1.  Each jump's moment waits as
-    # a pair until G is formed: (num p, den), a part of Mom over W, while T
-    # is short, and past the cut (num t_n, den t_d), a part of Mom over W T
+    # and forms G only at crossings and at 1.  Mom grows by max_g's rule:
+    # by term p at each jump while T is short; past the cut each jump's
+    # moment waits as the pair (num t_n, den t_d), and the pairs since the
+    # last G are summed pairwise into Mom, over W T, where G is formed
     t_scale, w_scale, slope_w = d.t_scale, d.w_scale, d.slope_w
-    mom_scale = w_scale if d.short_points is not None else w_scale * t_scale
-    moments: list[tuple[int, int]] = []  # moments not yet in mom
+    wt_scale = w_scale * t_scale
+    moments: list[tuple[int, int]] = []  # past the cut, moments not yet in mom
     points: list[tuple[int, int]] = []  # crossing points as (numerator, denominator)
     # G(0), G at each crossing, then G(1), as ints over unit * _g_scale()
     unit = slope_w or 1
@@ -303,14 +306,12 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     mass, mom = num * (w_scale // den), 0
 
     def level(p: Optional[int], tn: int, td: int) -> int:
-        # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far,
-        # with the moments since the last G summed pairwise into it first
+        # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far
         nonlocal mom
-        if moments:
-            m_num, m_den = _sum_pairs(moments)
-            mom += m_num * (mom_scale // m_den)
-            moments.clear()
         if p is None:
+            m_num, m_den = _sum_pairs(moments)
+            mom += m_num * (wt_scale // m_den)
+            moments.clear()
             p = tn * (t_scale // td)
         return d._level(p, p * mass - mom)
 
@@ -340,8 +341,12 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
                     levels.append(g * slope_w - d_left * d_left)
                     sign = -sign
             current_sign = sign
-        mass += num * (w_scale // den)
-        moments.append((num * tn, den * td) if p is None else (num * p, den))
+        term = num * (w_scale // den)
+        mass += term
+        if p is None:
+            moments.append((num * tn, den * td))
+        else:
+            mom += term * p
         left, ln, ld = p, tn, td
     if current_sign == 0:
         raise DegenerateDifference("difference is identically zero")

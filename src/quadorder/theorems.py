@@ -225,54 +225,48 @@ def check_two_vs_three(p: TwoVsThreeParams) -> CaseCheck:
     return CaseCheck(mean_ok and case is not None, mean_ok, case)
 
 
+# Each record kind: (family id, case checker, rules), where rules(p) is the
+# pair (A, B) whose comparison the checker characterizes, each rule written
+# as the paper writes it, as (a_i, alpha_i) pairs, with None for the mean
+_FAMILIES = {
+    ThreeNodeLowerParams: ("three-node-lower", check_three_node_lower, lambda p: (
+        [(p.a1, p.alpha1), (p.a2, p.alpha2), (p.a3, p.alpha3)], None)),
+    FourNodeUpperParams: ("four-node-upper", check_four_node_upper, lambda p: (
+        None, [(p.a1, 1), (p.a2, p.alpha2), (p.a3, p.alpha3), (p.a4, 0)])),
+    TwoVsThreeParams: ("two-vs-three", check_two_vs_three, lambda p: (
+        [(p.a, p.alpha1), (ONE - p.a, p.alpha2)], [(p.b1, 1), (p.b2, p.beta), (p.b3, 0)])),
+}
+
+
+def _family(p: TheoremParams) -> tuple:
+    if type(p) not in _FAMILIES:
+        raise TypeError(f"unknown parameter record {p!r}")
+    return _FAMILIES[type(p)]
+
+
 def check_params(p: TheoremParams) -> CaseCheck:
-    if isinstance(p, ThreeNodeLowerParams):
-        return check_three_node_lower(p)
-    if isinstance(p, FourNodeUpperParams):
-        return check_four_node_upper(p)
-    if isinstance(p, TwoVsThreeParams):
-        return check_two_vs_three(p)
-    raise TypeError(f"unknown parameter record {p!r}")
+    return _family(p)[1](p)
 
 
 def functional_pair(p: TheoremParams) -> tuple[Functional, Functional]:
     """The pair (A, B) whose convex-order comparison the case checker
-    characterizes: holds(p) should coincide with decide(A, B).  Each rule
-    is written as the paper writes it, as (a_i, alpha_i) pairs."""
-    if isinstance(p, ThreeNodeLowerParams):
-        rule = from_paper_convention([(p.a1, p.alpha1), (p.a2, p.alpha2), (p.a3, p.alpha3)])
-        return rule, UNIFORM
-    if isinstance(p, FourNodeUpperParams):
-        rule = from_paper_convention([(p.a1, 1), (p.a2, p.alpha2), (p.a3, p.alpha3), (p.a4, 0)])
-        return UNIFORM, rule
-    if isinstance(p, TwoVsThreeParams):
-        two = from_paper_convention([(p.a, p.alpha1), (ONE - p.a, p.alpha2)])
-        three = from_paper_convention([(p.b1, 1), (p.b2, p.beta), (p.b3, 0)])
-        return two, three
-    raise TypeError(f"unknown parameter record {p!r}")
-
-
-_KIND_NAMES = {
-    ThreeNodeLowerParams: "three-node-lower",
-    FourNodeUpperParams: "four-node-upper",
-    TwoVsThreeParams: "two-vs-three",
-}
+    characterizes: holds(p) should coincide with decide(A, B)."""
+    rules = _family(p)[2](p)
+    return tuple(UNIFORM if rule is None else from_paper_convention(rule) for rule in rules)
 
 
 def params_to_json(p: TheoremParams) -> dict:
-    out: dict = {"family": _KIND_NAMES[type(p)]}
+    out: dict = {"family": _family(p)[0]}
     for name in p.__dataclass_fields__:
         out[name] = str(getattr(p, name))
     return out
 
 
-_KINDS = {name: kind for kind, name in _KIND_NAMES.items()}
-
-
 def params_from_json(obj: dict) -> TheoremParams:
     """Inverse of params_to_json; field values may be any rational."""
     fields = dict(obj)
-    kind = _KINDS.get(fields.pop("family", None))
+    family = fields.pop("family", None)
+    kind = next((k for k, (name, _, _) in _FAMILIES.items() if name == family), None)
     if kind is None or set(fields) != set(kind.__dataclass_fields__):
         raise ParamError(f"not a parameter record: {obj!r}")
     return kind(**fields)

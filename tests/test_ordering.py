@@ -617,6 +617,19 @@ def test_past_the_cut_the_walks_scale_no_breakpoint_to_t(monkeypatch):
         assert crossing_profile(difference(a, b)) == want
 
 
+def test_below_the_cut_the_walks_sum_no_moment_pairs(monkeypatch):
+    def summed(pairs):
+        raise AssertionError("moments were summed pairwise below the cut")
+
+    monkeypatch.setattr(ordering, "_sum_pairs", summed)
+    rng = random.Random(17)
+    pairs = [pair for grid in ("sevenths", "2^63") for pair in _cut_pairs(CUT_GRIDS[grid])]
+    pairs += pair_family(rng, "random", 40) + pair_family(rng, "equal-mean", 40)
+    for a, b in pairs:
+        assert difference(a, b).short_points is not None
+        assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
+
+
 def test_crossing_walk_forms_g_only_at_crossings_and_at_one(monkeypatch):
     formed = []
     level = ordering.DiffFunction._level

@@ -336,7 +336,7 @@ def test_params_from_json_rejects_what_is_not_a_record():
             params_from_json(bad)
 
 
-@pytest.mark.parametrize("call", [check_params, functional_pair])
+@pytest.mark.parametrize("call", [check_params, functional_pair, params_to_json])
 def test_a_non_record_is_a_type_error(call):
     for bad in (None, {"family": "two-vs-three"}, UNIFORM):
         with pytest.raises(TypeError, match="unknown parameter record"):
