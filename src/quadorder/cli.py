@@ -57,6 +57,7 @@ from .theorems import (
     functional_pair,
     params_from_json,
     params_to_json,
+    _pair,
 )
 
 __all__ = [
@@ -210,74 +211,74 @@ class Param:
 class Family:
     """A parametric pair of functionals, as data.
 
-    lhs and rhs are each a preset name or a functional template in the
-    --lhs/--rhs syntax, whose scalars are expressions in the parameters.
+    A named family's record is a template of a theorems parameter record
+    (the shape params_to_json emits) whose fields are expressions in the
+    parameters: its rules build the pair, unvalidated, and a scan reports
+    its case label where it is valid.  A custom family has no record;
+    lhs and rhs are functional templates in the --lhs/--rhs syntax.
     params is ordered and gives the scan columns; each Param holds the
     parameter's default, valid range and fail direction, the last used
-    only to report a range cap when every grid point holds.  label is a
-    template of a theorems parameter record (the shape params_to_json
-    emits) whose case label a scan reports, or None.  A custom family
-    carries lhs and rhs alone.
+    only to report a range cap when every grid point holds.
     """
 
     name: str
-    lhs: object
-    rhs: object
     params: dict[str, Param] = field(default_factory=dict)
-    label: Optional[dict[str, str]] = None
+    record: Optional[dict[str, str]] = None
+    lhs: object = None
+    rhs: object = None
+
+    def _record_at(self, params: dict[str, Fraction]) -> dict:
+        return {
+            key: text if key == "family" else eval_rational_expr(text, params)
+            for key, text in self.record.items()
+        }
 
     def build(self, params: dict[str, Fraction]) -> tuple[Functional, Functional]:
-        return _build_side(self.lhs, params), _build_side(self.rhs, params)
-
-
-def _atoms(*pairs: tuple[str, str]) -> dict:
-    return {"atoms": [{"t": t, "w": w} for t, w in pairs]}
+        if self.record is not None:
+            record = self._record_at(params)
+            return _pair(record["family"], record)
+        # a scalar that is not a string is read as check reads it (floats refused)
+        scalar = lambda _, v: eval_rational_expr(v, params) if type(v) is str else as_fraction(v)
+        return functional_from_json(self.lhs, scalar), functional_from_json(self.rhs, scalar)
 
 
 FAMILIES: dict[str, Family] = {
     "symmetric3": Family(
         name="symmetric3",
-        lhs=_atoms(("1-alpha", "a"), ("1/2", "1-2*a"), ("alpha", "a")),
-        rhs="uniform",
         params={
             "a": Param(Fraction(1, 4), ZERO, HALF, fail_toward="high"),
             "alpha": Param(Fraction(3, 4), HALF, ONE, fail_toward="high"),
         },
-        label={"family": "three-node-lower", "a1": "a", "a2": "1-2*a", "a3": "a",
-               "alpha1": "alpha", "alpha2": "1/2", "alpha3": "1-alpha"},
+        record={"family": "three-node-lower", "a1": "a", "a2": "1-2*a", "a3": "a",
+                "alpha1": "alpha", "alpha2": "1/2", "alpha3": "1-alpha"},
     ),
     "endpoint4": Family(
         name="endpoint4",
-        lhs="uniform",
-        rhs=_atoms(("0", "a"), ("1-alpha", "1/2-a"), ("alpha", "1/2-a"), ("1", "a")),
         params={
             "a": Param(Fraction(1, 4), ZERO, HALF, fail_toward="low"),
             "alpha": Param(Fraction(3, 4), HALF, ONE, fail_toward="low"),
         },
-        label={"family": "four-node-upper", "a1": "a", "a2": "1/2-a", "a3": "1/2-a",
-               "a4": "a", "alpha2": "alpha", "alpha3": "1-alpha"},
+        record={"family": "four-node-upper", "a1": "a", "a2": "1/2-a", "a3": "1/2-a",
+                "a4": "a", "alpha2": "alpha", "alpha3": "1-alpha"},
     ),
     "twoVsThree": Family(
         name="twoVsThree",
-        lhs=_atoms(("1-alpha", "1/2"), ("alpha", "1/2")),
-        rhs=_atoms(("0", "b1"), ("1/2", "b2"), ("1", "b3")),
         params={
             "alpha": Param(Fraction(3, 5), HALF, ONE, fail_toward="high"),
             "b1": Param(Fraction(1, 6), ZERO, ONE),
             "b2": Param(Fraction(2, 3), ZERO, ONE),
             "b3": Param(Fraction(1, 6), ZERO, ONE),
         },
-        label={"family": "two-vs-three", "a": "1/2", "alpha1": "alpha", "alpha2": "1-alpha",
-               "beta": "1/2", "b1": "b1", "b2": "b2", "b3": "b3"},
+        record={"family": "two-vs-three", "a": "1/2", "alpha1": "alpha", "alpha2": "1-alpha",
+                "beta": "1/2", "b1": "b1", "b2": "b2", "b3": "b3"},
     ),
     "bp1": Family(
         name="bp1",
-        lhs="uniform",
-        rhs=_atoms(("0", "1/4"), ("x", "1/4"), ("1-x", "1/4"), ("1", "1/4")),
         params={"x": Param(Fraction(1, 4), ZERO, HALF, True, True, fail_toward="high")},
-        # At x = 0 and x = 1/2 the record is degenerate (ParamError): no label.
-        label={"family": "four-node-upper", "a1": "1/4", "a2": "1/4", "a3": "1/4",
-               "a4": "1/4", "alpha2": "1-x", "alpha3": "x"},
+        # At x = 0 and x = 1/2 the record is degenerate: it builds its pair
+        # but fails validation (ParamError), so it gets no label.
+        record={"family": "four-node-upper", "a1": "1/4", "a2": "1/4", "a3": "1/4",
+                "a4": "1/4", "alpha2": "1-x", "alpha3": "x"},
     ),
 }
 
@@ -295,14 +296,10 @@ def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None
 
 
 def _case_label(family: Family, params: dict[str, Fraction]) -> Optional[CaseCheck]:
-    if family.label is None:
+    if family.record is None:
         return None
-    record = {
-        key: text if key == "family" else eval_rational_expr(text, params)
-        for key, text in family.label.items()
-    }
     try:
-        return check_params(params_from_json(record))
+        return check_params(params_from_json(family._record_at(params)))
     except ParamError:
         return None
 
@@ -384,25 +381,16 @@ def _load_json_or_file(text: str) -> object:
         raise CLIError(f"bad JSON in {text!r}: {exc}") from None
 
 
-def _build_side(side: object, params: dict[str, Fraction]) -> Functional:
-    """A preset, or a template whose string scalars are expressions in params;
-    other scalars are coerced with as_fraction (floats refused, as in check)."""
-    if isinstance(side, str) and side in PRESETS:
-        return PRESETS[side]
-    return functional_from_json(
-        side, lambda _, v: eval_rational_expr(v, params) if type(v) is str else as_fraction(v)
-    )
-
-
 def _resolve_family(args: argparse.Namespace) -> Family:
     if args.family == "custom":
         if not (args.lhs and args.rhs):
             raise CLIError("family custom needs --lhs and --rhs templates")
-        return Family("custom", _load_json_or_file(args.lhs), _load_json_or_file(args.rhs))
-    try:
-        return FAMILIES[args.family]
-    except KeyError:
-        raise CLIError(f"unknown family {args.family!r}") from None
+        return Family("custom", lhs=_load_json_or_file(args.lhs), rhs=_load_json_or_file(args.rhs))
+    if args.family not in FAMILIES:
+        raise CLIError(f"unknown family {args.family!r}")
+    if args.lhs is not None or args.rhs is not None:
+        raise CLIError(f"--lhs and --rhs are for --family custom, not {args.family}")
+    return FAMILIES[args.family]
 
 
 # ---------------------------------------------------------------------------
@@ -777,15 +765,18 @@ def _load_functional(
     )
 
 
+# A failed write, to out_path or to stdout, is an error (exit 2), never a
+# traceback; stdout is flushed so that its error is raised here.
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if not out_path:
-        sys.stdout.write(text)
-        return
     try:
+        if not out_path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise CLIError(f"cannot write {out_path!r}: {exc}") from None
+        raise CLIError(f"cannot write {repr(out_path) if out_path else 'stdout'}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +831,7 @@ def _cmd_agree(args: argparse.Namespace) -> int:
     if args.out:
         _emit(records, args.out)
         records = ""
-    sys.stdout.write(json.dumps(summary.to_json()) + "\n" + records)
+    _emit(json.dumps(summary.to_json()) + "\n" + records, None)
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from .functionals import (
     Functional,
@@ -225,16 +225,18 @@ def check_two_vs_three(p: TwoVsThreeParams) -> CaseCheck:
     return CaseCheck(mean_ok and case is not None, mean_ok, case)
 
 
-# Each record kind: (family id, case checker, rules), where rules(p) is the
-# pair (A, B) whose comparison the checker characterizes, each rule written
-# as the paper writes it, as (a_i, alpha_i) pairs, with None for the mean
+# Each record kind: (family id, case checker, rules), where rules(f) is the
+# pair (A, B) whose comparison the checker characterizes, read from the
+# fields f by name, each rule written as the paper writes it, as
+# (a_i, alpha_i) pairs, with None for the mean
 _FAMILIES = {
-    ThreeNodeLowerParams: ("three-node-lower", check_three_node_lower, lambda p: (
-        [(p.a1, p.alpha1), (p.a2, p.alpha2), (p.a3, p.alpha3)], None)),
-    FourNodeUpperParams: ("four-node-upper", check_four_node_upper, lambda p: (
-        None, [(p.a1, 1), (p.a2, p.alpha2), (p.a3, p.alpha3), (p.a4, 0)])),
-    TwoVsThreeParams: ("two-vs-three", check_two_vs_three, lambda p: (
-        [(p.a, p.alpha1), (ONE - p.a, p.alpha2)], [(p.b1, 1), (p.b2, p.beta), (p.b3, 0)])),
+    ThreeNodeLowerParams: ("three-node-lower", check_three_node_lower, lambda f: (
+        [(f["a1"], f["alpha1"]), (f["a2"], f["alpha2"]), (f["a3"], f["alpha3"])], None)),
+    FourNodeUpperParams: ("four-node-upper", check_four_node_upper, lambda f: (
+        None, [(f["a1"], 1), (f["a2"], f["alpha2"]), (f["a3"], f["alpha3"]), (f["a4"], 0)])),
+    TwoVsThreeParams: ("two-vs-three", check_two_vs_three, lambda f: (
+        [(f["a"], f["alpha1"]), (ONE - f["a"], f["alpha2"])],
+        [(f["b1"], 1), (f["b2"], f["beta"]), (f["b3"], 0)])),
 }
 
 
@@ -244,15 +246,25 @@ def _family(p: TheoremParams) -> tuple:
     return _FAMILIES[type(p)]
 
 
+def _kind(family: object) -> Optional[type]:
+    return next((k for k, (name, _, _) in _FAMILIES.items() if name == family), None)
+
+
 def check_params(p: TheoremParams) -> CaseCheck:
     return _family(p)[1](p)
+
+
+def _pair(family: str, fields: Mapping[str, Fraction]) -> tuple[Functional, Functional]:
+    """The pair (A, B) of the family id's rules at fields, read by name and
+    not validated: a degenerate record gives its degenerate pair."""
+    rules = _FAMILIES[_kind(family)][2](fields)
+    return tuple(UNIFORM if rule is None else from_paper_convention(rule) for rule in rules)
 
 
 def functional_pair(p: TheoremParams) -> tuple[Functional, Functional]:
     """The pair (A, B) whose convex-order comparison the case checker
     characterizes: holds(p) should coincide with decide(A, B)."""
-    rules = _family(p)[2](p)
-    return tuple(UNIFORM if rule is None else from_paper_convention(rule) for rule in rules)
+    return _pair(_family(p)[0], vars(p))
 
 
 def params_to_json(p: TheoremParams) -> dict:
@@ -266,7 +278,7 @@ def params_from_json(obj: dict) -> TheoremParams:
     """Inverse of params_to_json; field values may be any rational."""
     fields = dict(obj)
     family = fields.pop("family", None)
-    kind = next((k for k, (name, _, _) in _FAMILIES.items() if name == family), None)
+    kind = _kind(family)
     if kind is None or set(fields) != set(kind.__dataclass_fields__):
         raise ParamError(f"not a parameter record: {obj!r}")
     return kind(**fields)

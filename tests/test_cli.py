@@ -17,11 +17,13 @@ import pytest
 import quadorder
 from quadorder import (
     FAILS,
+    UNIFORM,
     ParamError,
     Verdict,
     cli,
     decide,
     functional_pair,
+    make_functional,
     ordering,
     params_from_json,
     params_to_json,
@@ -262,23 +264,64 @@ def test_unreadable_input_file_is_a_one_line_error(tmp_path, capsys, argv, conte
     assert_one_line_error(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
 
 
-@pytest.mark.parametrize(
-    "argv",
+# One invocation of each command that writes output
+WRITING_ARGV = [
+    ["check", "midpoint", "uniform"],
+    ["check", "trapezoid", "midpoint"],  # fails: exit 1 before the write
     [
-        ["check", "midpoint", "uniform"],
-        ["check", "trapezoid", "midpoint"],  # fails: exit 1 before the write
-        [
-            "threshold", "--family", "symmetric3",
-            "--sweep", "a=1/20:9/20:1/20", "--fix", "alpha=4/5",
-        ],
-        ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/4"],
-        ["agree", "two-vs-three", "--samples", "5"],
+        "threshold", "--family", "symmetric3",
+        "--sweep", "a=1/20:9/20:1/20", "--fix", "alpha=4/5",
     ],
-)
+    ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/4"],
+    ["agree", "two-vs-three", "--samples", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGV)
 @pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv, target):
     out_path = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
     assert_one_line_error(capsys, *argv, "--out", str(out_path))
+
+
+class _FullStdout:
+    """A stdout whose write or flush fails as a full device does."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", WRITING_ARGV)
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_stdout_is_a_one_line_error(capsys, monkeypatch, argv, failing):
+    # Exit 1 means "fails"; a write error must not surface as a traceback.
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_stdout_on_a_full_device_exits_2_with_one_line():
+    src = Path(quadorder.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "quadorder.cli", "check", "midpoint", "uniform"],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr == b"error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_keys_outside_the_shape_are_ignored_by_check_and_templates(capsys):
@@ -439,7 +482,7 @@ def test_threshold_two_switches_is_an_error():
     family = Family(
         name="two-switches",
         lhs={"atoms": [{"t": "p", "w": "1/2"}, {"t": "1-p", "w": "1/2"}]},
-        rhs="uniform",
+        rhs={"atoms": [], "uniform": "1"},
         params={"p": Param(F(0), F(0), F(1), lo_closed=True, hi_closed=True)},
     )
     with pytest.raises(NonMonotoneRegion) as raised:
@@ -677,17 +720,20 @@ def _random_params(name, rng):
 
 
 def _label_record(family, params):
-    """The theorem record that the family's label names at params."""
+    """The theorem record that the family's record template names at params."""
     return {
         key: text if key == "family" else eval_rational_expr(text, params)
-        for key, text in family.label.items()
+        for key, text in family.record.items()
     }
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_family_templates_match_the_theorem_records(name):
+    # build skips the record's validation; where the record is valid, the
+    # pair is still the one functional_pair gives the validated record.
     family = FAMILIES[name]
     assert not any(callable(getattr(family, f)) for f in family.__dataclass_fields__)
+    assert family.lhs is family.rhs is None
     rng = random.Random(name)
     for _ in range(50):
         params = _random_params(name, rng)
@@ -697,7 +743,7 @@ def test_family_templates_match_the_theorem_records(name):
 
 def test_corpus_sweeps_build_what_their_labels_name():
     # Every grid point of a named-family sweep in the golden corpus whose
-    # label is a valid theorem record builds that record's functional pair.
+    # record is valid builds that record's functional pair.
     checked = 0
     for case in json.loads(CORPUS.read_text(encoding="utf-8")):
         args = cli.build_parser().parse_args(case["argv"])
@@ -716,10 +762,34 @@ def test_corpus_sweeps_build_what_their_labels_name():
     assert checked >= 73  # the scan entries alone give 73
 
 
-def test_bp1_endpoints_get_no_case_label():
-    for x in (F(0), F(1, 2)):
-        assert _case_label(FAMILIES["bp1"], {"x": x}) is None
-    assert _case_label(FAMILIES["bp1"], {"x": F(1, 4)}).case is not None
+def test_bp1_endpoints_build_their_degenerate_pairs_and_get_no_case_label():
+    # The record's open intervals are not checked when a pair is built.
+    bp1 = FAMILIES["bp1"]
+    trapezoid = make_functional([(0, F(1, 2)), (1, F(1, 2))])
+    simpson_like = make_functional([(0, F(1, 4)), (F(1, 2), F(1, 2)), (1, F(1, 4))])
+    for x, rhs in ((F(0), trapezoid), (F(1, 2), simpson_like)):
+        assert bp1.build({"x": x}) == (UNIFORM, rhs)
+        assert _case_label(bp1, {"x": x}) is None
+    assert _case_label(bp1, {"x": F(1, 4)}).case is not None
+
+
+def test_a_family_record_that_makes_no_measure_is_a_one_line_error(capsys):
+    # b1 + b2 + b3 = 3/2: each weight is in range, the right side is not a measure
+    argv = ["--family", "twoVsThree", "--sweep", "alpha=11/20:19/20:1/20"]
+    argv += ["--fix", "b1=1/2", "--fix", "b2=1/2", "--fix", "b3=1/2"]
+    for command in ("scan", "threshold"):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (2, "", "error: total mass 3/2 != 1\n")
+
+
+@pytest.mark.parametrize("flag", ["--lhs", "--rhs"])
+@pytest.mark.parametrize("command", ["scan", "threshold"])
+def test_a_named_family_refuses_templates(capsys, command, flag):
+    code, out, err = run(
+        capsys, command, "--family", "bp1", "--sweep", "x=0:1/2:1/4", flag, UNIFORM_JSON
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --lhs and --rhs are for --family custom, not bp1\n"
 
 
 # ---------------------------------------------------------------------------
