@@ -20,9 +20,11 @@ import csv
 import io
 import json
 import operator
+import os
 import random
 import re
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -57,7 +59,7 @@ from .theorems import (
     functional_pair,
     params_from_json,
     params_to_json,
-    _pair,
+    record_pair,
 )
 
 __all__ = [
@@ -235,8 +237,7 @@ class Family:
 
     def build(self, params: dict[str, Fraction]) -> tuple[Functional, Functional]:
         if self.record is not None:
-            record = self._record_at(params)
-            return _pair(record["family"], record)
+            return record_pair(self._record_at(params))
         # a scalar that is not a string is read as check reads it (floats refused)
         scalar = lambda _, v: eval_rational_expr(v, params) if type(v) is str else as_fraction(v)
         return functional_from_json(self.lhs, scalar), functional_from_json(self.rhs, scalar)
@@ -328,16 +329,13 @@ class ScanSpec:
         return [self.start + i * self.step for i in range(count)]
 
     def params_at(self, value: Fraction) -> dict[str, Fraction]:
-        params = dict(self.fixed)
-        params[self.sweep] = value
-        return params
+        return {**self.fixed, self.sweep: value}
 
 
 def _make_scan_spec(
     family: Family, sweep_arg: str, fix_args: Sequence[str]
 ) -> ScanSpec:
-    if "=" not in sweep_arg:
-        raise CLIError("--sweep must look like name=start:stop:step")
+    # a missing "=" leaves grid_text empty, one part: the same error
     name, _, grid_text = sweep_arg.partition("=")
     name = name.strip()
     parts = grid_text.split(":")
@@ -770,12 +768,17 @@ def _load_functional(
 def _emit(text: str, out_path: Optional[str]) -> None:
     try:
         if not out_path:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            print(text, end="", flush=True)
             return
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
+        if not out_path:
+            # A buffered stdout keeps the bytes it could not write, and its
+            # flush at exit would fail on them again (exit 120, with an
+            # "Exception ignored" report): its descriptor goes to devnull.
+            with suppress(AttributeError, OSError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise CLIError(f"cannot write {repr(out_path) if out_path else 'stdout'}: {exc}") from None
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "check_two_vs_three",
     "check_params",
     "functional_pair",
+    "record_pair",
     "params_to_json",
     "params_from_json",
 ]
@@ -254,17 +255,20 @@ def check_params(p: TheoremParams) -> CaseCheck:
     return _family(p)[1](p)
 
 
-def _pair(family: str, fields: Mapping[str, Fraction]) -> tuple[Functional, Functional]:
-    """The pair (A, B) of the family id's rules at fields, read by name and
-    not validated: a degenerate record gives its degenerate pair."""
-    rules = _FAMILIES[_kind(family)][2](fields)
-    return tuple(UNIFORM if rule is None else from_paper_convention(rule) for rule in rules)
+def _pair(rules, fields: Mapping[str, Fraction]) -> tuple[Functional, Functional]:
+    return tuple(UNIFORM if rule is None else from_paper_convention(rule) for rule in rules(fields))
 
 
 def functional_pair(p: TheoremParams) -> tuple[Functional, Functional]:
     """The pair (A, B) whose convex-order comparison the case checker
     characterizes: holds(p) should coincide with decide(A, B)."""
-    return _pair(_family(p)[0], vars(p))
+    return _pair(_family(p)[2], vars(p))
+
+
+def record_pair(record: Mapping[str, object]) -> tuple[Functional, Functional]:
+    """The pair (A, B) of a record in the params_to_json shape with Fraction
+    fields, not validated: a degenerate record gives its degenerate pair."""
+    return _pair(_FAMILIES[_kind(record["family"])][2], record)
 
 
 def params_to_json(p: TheoremParams) -> dict:

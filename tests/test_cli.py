@@ -312,12 +312,25 @@ def test_unwritable_stdout_is_a_one_line_error(capsys, monkeypatch, argv, failin
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
-def test_stdout_on_a_full_device_exits_2_with_one_line():
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "midpoint", "uniform"],  # fails at the flush
+        ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/2000"],  # fails mid-write
+    ],
+)
+def test_stdout_on_a_full_device_exits_2_with_one_line(argv, unbuffered):
+    # A buffered stdout (the default off a tty) keeps the bytes it could not
+    # write and flushes them again at exit: that flush must not fail too.
     src = Path(quadorder.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         done = subprocess.run(
-            [sys.executable, "-m", "quadorder.cli", "check", "midpoint", "uniform"],
+            [sys.executable, "-m", "quadorder.cli", *argv],
             stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     assert done.returncode == 2

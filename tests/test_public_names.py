@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "check_two_vs_three", "crossing_profile", "decide", "decide_lemma", "difference",
     "evaluate", "from_paper_convention", "functional_from_json", "functional_pair",
     "make_functional", "oracle_decide", "params_from_json",
-    "params_to_json", "refine_grid", "verdict_to_json", "verify_witness",
+    "params_to_json", "record_pair", "refine_grid", "verdict_to_json", "verify_witness",
 ]
 
 
