@@ -229,7 +229,10 @@ class Family:
     lhs: object = None
     rhs: object = None
 
-    def _record_at(self, params: dict[str, Fraction]) -> dict:
+    def _record_at(self, params: dict[str, Fraction]) -> Optional[dict]:
+        """The record's fields evaluated at params; None for a custom family."""
+        if self.record is None:
+            return None
         return {
             key: text if key == "family" else eval_rational_expr(text, params)
             for key, text in self.record.items()
@@ -296,11 +299,13 @@ def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None
             )
 
 
-def _case_label(family: Family, params: dict[str, Fraction]) -> Optional[CaseCheck]:
-    if family.record is None:
+def _case_label(record: Optional[dict]) -> Optional[CaseCheck]:
+    """The case label of an evaluated family record, None for no record or
+    one that fails validation."""
+    if record is None:
         return None
     try:
-        return check_params(params_from_json(family._record_at(params)))
+        return check_params(params_from_json(record))
     except ParamError:
         return None
 
@@ -531,9 +536,11 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
     rows = []
     for value in spec.grid():
         params = spec.params_at(value)
-        a, b = family.build(params)
+        # the record is evaluated once, for both the pair and the label
+        record = family._record_at(params)
+        a, b = family.build(params) if record is None else record_pair(record)
         verdict = decide(a, b)
-        check = _case_label(family, params)
+        check = _case_label(record)
         witness_s = ""
         if verdict.outcome == FAILS and hasattr(verdict.witness, "s"):
             witness_s = str(verdict.witness.s)
@@ -838,11 +845,22 @@ def _cmd_agree(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of its help, so help to a full device
+    would exit 0 having printed nothing: help for stdout goes through _emit."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 # Built once per process: parse_args leaves the parser as it is, and
 # copies --fix's default list before it appends to it
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadorder",
         description=(
             "Decide convex-order inequalities between quadrature functionals "
@@ -908,9 +926,8 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except (CLIError, FunctionalError, ParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .functionals import (
@@ -108,8 +109,14 @@ class DiffFunction:
     Past it, short_points is None: each jump's moment waits as the small
     pair (num t_n, den t_d), and only where G is formed are the pairs
     since the last G summed pairwise into Mom and a breakpoint scaled to
-    T.  Fractions are built only for what is returned; points,
-    breakpoints and cumulative (G(b_i) at every breakpoint) when read.
+    T.  Past the cut, too, the walks scale each jump to W through
+    _quotients, one W // den per distinct jump denominator, and decide
+    first tries _linear_direction, a floor sum on small ints that settles
+    most unequal barycenters (every |G(1)| >= 2^-64) with no walk at all.
+    Below the cut neither pays: the walks divide W as they go, and the
+    short walk costs little more than the sum would.  Fractions are built
+    only for what is returned; points, breakpoints and cumulative (G(b_i)
+    at every breakpoint) when read.
     """
 
     t_scale: int
@@ -135,6 +142,15 @@ class DiffFunction:
         """(p_i or None past the cut, position, jump) at each breakpoint."""
         points = self.short_points
         return zip(repeat(None) if points is None else points, self.positions, self.jumps)
+
+    @cached_property
+    def _quotients(self) -> dict[int, int]:
+        """Past the cut, W // den for each distinct jump denominator: a
+        spread's two atoms share one, so the walks divide W about a third
+        as often.  While T is short the walks divide as they go: on
+        thousands of jumps this table would hold megabytes of W-sized ints."""
+        w_scale = self.w_scale
+        return {den: w_scale // den for den in set(map(itemgetter(1), self.jumps))}
 
     @property
     def points(self) -> tuple[int, ...]:
@@ -168,6 +184,7 @@ class DiffFunction:
         # product, so the moments w_j t_j since the last candidate are kept
         # as pairs and summed pairwise into Mom when G is formed
         wt_scale = w_scale * t_scale
+        quotients = self._quotients if self.short_points is None else None
         moments: list[tuple[int, int]] = []
         mass = mom = d_at = 0
         best, best_den, s_star = 0, 1, (0, 1)
@@ -176,13 +193,14 @@ class DiffFunction:
             # with a slope, times that breakpoint's own denominator): exact
             # signs without T
             d_left, d_before = d_at, (mass * td + slope_w * tn if slope_w else mass)
-            term = num * (w_scale // den)
-            mass += term
-            d_at = d_before + term * td if slope_w else mass
             if p is None:
+                term = num * quotients[den]
                 moments.append((num * tn, den * td))
             else:
+                term = num * (w_scale // den)
                 mom += term * p
+            mass += term
+            d_at = d_before + term * td if slope_w else mass
             # candidates: where D turns from > 0 to <= 0 at p or inside the
             # piece before p (its vertex), and 1
             if d_left > 0 >= d_before or d_before > 0 >= d_at or tn == td:
@@ -202,6 +220,33 @@ class DiffFunction:
                 if top * best_den > best * top_den:
                     best, best_den, s_star = top, top_den, s
         return g, best, best_den, s_star  # the last breakpoint is 1, so g is G(1)
+
+    def _linear_direction(self) -> int:
+        """The linear witness's direction, +1 or -1, when a floor sum
+        settles the sign of G(1) without the walk; 0 when it cannot.
+
+        Both masses are 1, so D(1) = 0 and S = -G(1) = sum_j w_j t_j +
+        slope / 2, the barycenter of A minus that of B.  Each of the count
+        terms of 2^k S that can be inexact is floored once, so total, their
+        sum, lies in (2^k S - count, 2^k S]: total >= 1 means S > 0, total
+        <= -count means S < 0.  With k = 64 + the bit length of the jump
+        count, every |S| >= 2^-64 is settled; the terms are ints of about
+        k bits, and W is read only for the slope."""
+        k = 64 + len(self.jumps).bit_length()
+        # the breakpoint 0 and a zero slope add exact zeros: left out of
+        # count, they would loosen the bound on total by one each
+        terms = [
+            ((num * tn) << k) // (den * td)
+            for (tn, td), (num, den) in zip(self.positions[1:], self.jumps[1:])
+        ]
+        if self.slope_w:
+            terms.append((self.slope_w << k) // (2 * self.w_scale))
+        total = sum(terms)
+        if total >= 1:
+            return 1
+        if total <= -len(terms):
+            return -1
+        return 0
 
     def g_end(self) -> Fraction:
         """G(1), the barycenter of B minus that of A, from max_g's walk."""
@@ -304,6 +349,7 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
     walk = d._walk()
     left, (ln, ld), (num, den) = next(walk)  # the breakpoint 0
     mass, mom = num * (w_scale // den), 0
+    quotients = d._quotients if d.short_points is None else None
 
     def level(p: Optional[int], tn: int, td: int) -> int:
         # W T G(p / T) = p W M - Mom, Mom the sum of W T w_j t_j so far
@@ -341,12 +387,13 @@ def crossing_profile(d: DiffFunction) -> CrossingProfile:
                     levels.append(g * slope_w - d_left * d_left)
                     sign = -sign
             current_sign = sign
-        term = num * (w_scale // den)
-        mass += term
         if p is None:
+            term = num * quotients[den]
             moments.append((num * tn, den * td))
         else:
+            term = num * (w_scale // den)
             mom += term * p
+        mass += term
         left, ln, ld = p, tn, td
     if current_sign == 0:
         raise DegenerateDifference("difference is identically zero")
@@ -432,6 +479,11 @@ def _cumulative_verdict(d: DiffFunction) -> Verdict:
     """
     if d.is_zero():
         return Verdict(EQUAL)
+    # past the cut, a floor sum settles most unequal barycenters before the
+    # walk; below it, the sum would be a large share of the short walk
+    direction = d._linear_direction() if d.short_points is None else 0
+    if direction:
+        return Verdict(FAILS, LinearWitness(direction))
     # max_g's walk yields G(1) as well, which g_end then reads
     s_star, g_max = d.max_g()
     g_end = d.g_end()

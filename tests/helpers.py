@@ -676,3 +676,19 @@ REFERENCE_SAMPLERS = {
     "four-node-upper": reference_sample_four_node_upper,
     "two-vs-three": reference_sample_two_vs_three,
 }
+
+
+class FullStdout:
+    """A stdout whose write or flush fails as a full device does."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")

@@ -41,7 +41,7 @@ from quadorder.cli import (
     main,
     run_threshold,
 )
-from helpers import simplest_between
+from helpers import FullStdout, simplest_between
 from test_golden import CORPUS
 
 
@@ -284,27 +284,11 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv, target):
     assert_one_line_error(capsys, *argv, "--out", str(out_path))
 
 
-class _FullStdout:
-    """A stdout whose write or flush fails as a full device does."""
-
-    def __init__(self, failing):
-        self.failing = failing
-
-    def write(self, text):
-        if self.failing == "write":
-            raise OSError(28, "No space left on device")
-        return len(text)
-
-    def flush(self):
-        if self.failing == "flush":
-            raise OSError(28, "No space left on device")
-
-
 @pytest.mark.parametrize("argv", WRITING_ARGV)
 @pytest.mark.parametrize("failing", ["write", "flush"])
 def test_unwritable_stdout_is_a_one_line_error(capsys, monkeypatch, argv, failing):
     # Exit 1 means "fails"; a write error must not surface as a traceback.
-    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    monkeypatch.setattr(sys, "stdout", FullStdout(failing))
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
@@ -318,6 +302,8 @@ def test_unwritable_stdout_is_a_one_line_error(capsys, monkeypatch, argv, failin
     [
         ["check", "midpoint", "uniform"],  # fails at the flush
         ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/2000"],  # fails mid-write
+        ["--help"],  # argparse itself would drop the failed write and exit 0
+        ["check", "--help"],
     ],
 )
 def test_stdout_on_a_full_device_exits_2_with_one_line(argv, unbuffered):
@@ -782,8 +768,23 @@ def test_bp1_endpoints_build_their_degenerate_pairs_and_get_no_case_label():
     simpson_like = make_functional([(0, F(1, 4)), (F(1, 2), F(1, 2)), (1, F(1, 4))])
     for x, rhs in ((F(0), trapezoid), (F(1, 2), simpson_like)):
         assert bp1.build({"x": x}) == (UNIFORM, rhs)
-        assert _case_label(bp1, {"x": x}) is None
-    assert _case_label(bp1, {"x": F(1, 4)}).case is not None
+        assert _case_label(bp1._record_at({"x": x})) is None
+    assert _case_label(bp1._record_at({"x": F(1, 4)})).case is not None
+
+
+def test_scan_evaluates_each_row_record_once(monkeypatch):
+    # one evaluation gives both the pair and the case label
+    calls = []
+    record_at = Family._record_at
+
+    def counted(self, params):
+        calls.append(params)
+        return record_at(self, params)
+
+    monkeypatch.setattr(Family, "_record_at", counted)
+    _, rows = cli.run_scan(_make_scan_spec(FAMILIES["bp1"], "x=0:1/2:1/8", []))
+    assert len(calls) == len(rows) == 5
+    assert [row[2] for row in rows] == ["", "iii", "iii", "viii", ""]
 
 
 def test_a_family_record_that_makes_no_measure_is_a_one_line_error(capsys):

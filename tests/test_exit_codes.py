@@ -14,10 +14,12 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quadorder import FAILS, HingeWitness, LinearWitness, Verdict, verify_witness
 from quadorder.cli import FAMILIES, THEOREM_IDS, _load_functional, eval_rational_expr, main
+from helpers import FullStdout
 
 RATIONAL_TEXT = st.sampled_from(
     ["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4", "1/10", "9/10", "-1/4", "5/4", "0.25", "2"]
@@ -234,3 +236,15 @@ def test_every_invocation_ends_in_a_documented_exit_code(argv):
         assert stdout == "" and "error:" in stderr
     if code == 1:
         assert argv[0] == "check" and witness_verifies(argv, stdout)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_help_to_an_unwritable_stdout_is_a_one_line_error(argv, failing):
+    # argparse drops a failed write of its help: exit 0 would read as shown
+    code, stdout, _ = run_main(argv)
+    assert (code, stdout[:6]) == (0, "usage:")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(FullStdout(failing)), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")

@@ -651,3 +651,84 @@ def test_crossing_walk_forms_g_only_at_crossings_and_at_one(monkeypatch):
         profile = crossing_profile(d)
         assert 1 <= len(formed) <= profile.n + 1
         assert "_peak" not in d.__dict__  # the cross-check never reads max_g's walk
+
+
+# ---------------------------------------------------------------------------
+# Past the cut, a floor sum settles G(1)'s sign before the walk
+# ---------------------------------------------------------------------------
+
+
+def _moved(f, delta):
+    """f with its heaviest atom moved toward 1/2 by delta / weight, so that
+    its barycenter moves by exactly delta, one way or the other."""
+    atoms = [(atom.position, atom.weight) for atom in f.atoms]
+    i = max(range(len(atoms)), key=lambda k: atoms[k][1])
+    t, w = atoms[i]
+    atoms[i] = (t + delta / w if t < F(1, 2) else t - delta / w, w)
+    return make_functional(atoms, f.uniform_weight)
+
+
+@pytest.mark.parametrize("bits", [10, 60, 70, 200])
+def test_past_the_cut_the_floor_sum_settles_g_end_only_when_it_can(bits):
+    # |G(1)| = 2^-bits: the sum settles every |G(1)| >= 2^-64, and 2^-200
+    # is left to the walk, which still names the direction
+    delta = F(1, 2**bits)
+    signs = set()
+    for a, b in pair_family(random.Random(bits), "coprime-spread", 3):
+        for x, y in ((_moved(a, delta), b), (a, _moved(b, delta))):
+            for pair in ((x, y), (y, x)):
+                d = difference(*pair)
+                g_end = reference_difference(*pair).g_end()
+                assert d.short_points is None and abs(g_end) == delta
+                direction = d._linear_direction()
+                if bits <= 64:
+                    assert direction == (1 if g_end < 0 else -1)
+                    assert "_peak" not in d.__dict__
+                elif bits == 200:
+                    assert direction == 0
+                assert decide(*pair) == reference_decide(*pair)
+                signs.add(g_end > 0)
+    assert signs == {True, False}
+
+
+def test_past_the_cut_equal_barycenters_always_walk():
+    # Positions over 2^70.  In the first pair every floor is exact and the
+    # sum is 0: only total >= 1, not >= 0, defers.  A filler of 64 shared
+    # atoms (zero jumps) makes k = 71, so the atom 1/2 at x floors exactly.
+    # In the second, A = delta_x and B spreads it onto 0 and 1, each of the
+    # two floors is off by a half and the sum is -1 = 1 - count: only
+    # total <= -count, not <= 1 - count, defers.
+    x = F(2**69 + 1, 2**70)
+    filler = [(F(2 * j - 1, 256), F(1, 128)) for j in range(1, 65)]
+    exact = (
+        make_functional([(x, F(1, 2)), *filler]),
+        make_functional([(F(0), (1 - x) / 2), (F(1), x / 2), *filler]),
+    )
+    halves = (make_functional([(x, F(1))]), make_functional([(F(0), 1 - x), (F(1), x)]))
+    pairs = [exact, halves]
+    pairs += pair_family(random.Random(19), "coprime-spread", 6)
+    outcomes = set()
+    for a, b in pairs + [pair[::-1] for pair in pairs]:
+        d = difference(a, b)
+        assert d.short_points is None and reference_difference(a, b).g_end() == 0
+        assert d._linear_direction() == 0
+        assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
+        outcomes.add(decide(a, b).outcome)
+    assert outcomes == {HOLDS, FAILS}
+
+
+def test_below_the_cut_there_is_no_floor_sum_and_no_quotient_table(monkeypatch):
+    def floored(self):
+        raise AssertionError("the floor sum ran below the cut")
+
+    monkeypatch.setattr(ordering.DiffFunction, "_linear_direction", floored)
+    rng = random.Random(20)
+    pairs = [pair for grid in ("sevenths", "2^63") for pair in _cut_pairs(CUT_GRIDS[grid])]
+    pairs += pair_family(rng, "random", 40) + pair_family(rng, "equal-mean", 40)
+    for a, b in pairs:
+        d = difference(a, b)
+        assert d.short_points is not None
+        assert ordering._cumulative_verdict(d) == reference_decide(a, b)
+        if not d.is_zero():
+            crossing_profile(d)
+        assert "_quotients" not in d.__dict__
