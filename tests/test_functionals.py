@@ -482,6 +482,17 @@ def test_json_rejects_both_forms():
         ({"atoms": [{"t": [[]], "w": 1}]}, "not a rational: got list"),
         ({"pairs": [{"a": 1, "alpha": {}}]}, "not a rational: got dict"),
         ({"atoms": [], "uniform": [1]}, "not a rational: got list"),
+        # the error order of the atoms form: the shape of every entry, then
+        # uniform, then atom by atom t's text, w's text, t's range and w's
+        # sign, and the mass last
+        ({"atoms": "x"}, "'atoms' must be a list, got str"),
+        ({"atoms": [{"t": 0, "w": 1}, 1]}, "each 'atoms' entry must be an object, got int"),
+        ({"atoms": [{"t": "x", "w": 1}, {"w": 1}]}, "a 'atoms' entry has no 't' key"),
+        ({"atoms": [{"t": "x", "w": 1}], "uniform": "y"},
+         "cannot parse rational 'y': Invalid literal for Fraction: 'y'"),
+        ({"atoms": [{"t": "3/2", "w": "x"}]},
+         "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+        ({"atoms": [{"t": "1/2", "w": 1}, {"t": "3/2", "w": 2}]}, "atom position 3/2 outside [0, 1]"),
     ]:
         with pytest.raises(FunctionalError) as raised:
             functional_from_json(blob)
