@@ -18,6 +18,14 @@ _read_rational), whatever the Python version.  Floats are rejected at
 the boundary: decisions downstream hinge on sharp equalities, and a
 float that "looks like" 9/10 is not 9/10.
 
+Functional JSON is read in one pass per atom: functional_from_json walks
+the shape once and hands the raw values to make_functional, whose one
+loop reads each atom, checks its range and sign, drops a zero weight and
+collects the position denominators.  A bad input is reported in one
+order: the shape of every entry first, then the uniform weight, then
+atom by atom t's text, w's text, t's range and w's sign, and the mass
+last.
+
 The test functions are the hinges h_s(t) = max(t - s, 0), s in [0, 1]:
 by the Levin-Steckin theorem they decide the convex order together with
 +/- t, and on [0, 1] the map t is h_0, so a hinge is named by s alone.
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "FunctionalError",
@@ -96,44 +104,46 @@ def _read_rational(text: str) -> tuple[int, int]:
 
     Exponent notation is refused, since "1e-300000" would build
     10**300000; a digit run longer than int() accepts is refused as
-    int() refuses it."""
+    int() refuses it.  Every refusal reads "cannot parse rational
+    <text>: <reason>"."""
     num, _, den = text.partition("/")
-    sign = decimal = None
-    # digits "/" digits is in the grammar and needs no regex; anything
-    # else is matched in full
-    if not (num.isdecimal() and den.isdecimal()):
-        match = _NUMBER.fullmatch(text)
-        if match is None:
-            if "e" in text or "E" in text:
-                raise FunctionalError(f"cannot parse rational {text!r}: no exponent notation")
-            raise FunctionalError(
-                f"cannot parse rational {text!r}: Invalid literal for Fraction: {text!r}"
-            )
-        sign, num, den, decimal = match.groups()
     try:
-        numerator = int(num or "0")
-        if den:
-            denominator = int(den)
-        elif decimal:
-            digits = decimal.replace("_", "")
-            denominator = 10 ** len(digits)
-            numerator = numerator * denominator + int(digits)
+        # digits "/" digits is in the grammar and needs no regex; anything
+        # else is matched in full
+        if num.isdecimal() and den.isdecimal():
+            numerator, denominator = int(num), int(den)
+        elif match := _NUMBER.fullmatch(text):
+            sign, num, den, decimal = match.groups()
+            numerator = int(num or "0")
+            if den:
+                denominator = int(den)
+            elif decimal:
+                digits = decimal.replace("_", "")
+                denominator = 10 ** len(digits)
+                numerator = numerator * denominator + int(digits)
+            else:
+                denominator = 1
+            if sign == "-":
+                numerator = -numerator
+        elif "e" in text or "E" in text:
+            raise ValueError("no exponent notation")
         else:
-            denominator = 1
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        if not denominator:
+            raise ValueError(f"Fraction({numerator}, 0)")
     except ValueError as exc:
         raise FunctionalError(f"cannot parse rational {text!r}: {exc}") from None
-    if sign == "-":
-        numerator = -numerator
-    if not denominator:
-        raise FunctionalError(f"cannot parse rational {text!r}: Fraction({numerator}, 0)")
     common = gcd(numerator, denominator)
+    if common == 1:
+        return numerator, denominator
     return numerator // common, denominator // common
 
 
 def _as_pair(value: Rational) -> tuple[int, int]:
     """An int, string or Fraction as (numerator, denominator) in lowest
-    terms.  Floats and bools are refused; a list or a dict is refused by
-    its type and never printed, since it may nest too deep to print."""
+    terms.  Floats and bools are refused; None, a list or a dict is
+    refused by its type, and a list or a dict is never printed, since it
+    may nest too deep to print."""
     if isinstance(value, str):
         return _read_rational(value)
     if isinstance(value, Fraction):
@@ -142,7 +152,7 @@ def _as_pair(value: Rational) -> tuple[int, int]:
         raise FunctionalError(f"not a rational value: {value!r}")
     if isinstance(value, int):
         return int(value), 1
-    if isinstance(value, (dict, list)):
+    if value is None or isinstance(value, (dict, list)):
         raise FunctionalError(f"not a rational: got {type(value).__name__}")
     raise FunctionalError(
         f"not an exact rational: {value!r} (floats are rejected; use 'p/q' strings)"
@@ -281,29 +291,34 @@ def _merge(atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], t_scale: in
     return keys, positions, weights
 
 
-def _normalize(
-    atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], uniform_weight: Rational
-) -> Functional:
-    """The shared validate-and-merge step of make_functional and
-    from_paper_convention: atoms are (position, weight) int pairs in
-    lowest terms, checked in order, so the first bad one is reported."""
-    uniform = as_fraction(uniform_weight)
+def _read_uniform(value: Rational) -> Fraction:
+    """The uniform weight as a Fraction, refused if it is negative."""
+    uniform = as_fraction(value)
     if uniform.numerator < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
-    parsed = []
-    for t, w in atoms:
-        if t[0] < 0 or t[0] > t[1]:
-            raise DomainError(f"atom position {_show(t)} outside [0, 1]")
-        if w[0] < 0:
-            raise NegativeWeightError(f"atom weight {_show(w)} < 0 at position {_show(t)}")
-        if w[0]:
-            parsed.append((t, w))
-    t_scale = _lcm({t[1] for t, _ in parsed})
-    total, w_scale = _sum_pairs([(uniform.numerator, uniform.denominator), *(w for _, w in parsed)])
+    return uniform
+
+
+def _negative_weight(t: tuple[int, int], w: tuple[int, int]) -> NegativeWeightError:
+    """The error for weight w < 0 on the atom at t."""
+    return NegativeWeightError(f"atom weight {_show(w)} < 0 at position {_show(t)}")
+
+
+def _assemble(
+    atoms: list[tuple[tuple[int, int], tuple[int, int]]],
+    denominators: Iterable[int],
+    uniform: Fraction,
+) -> Functional:
+    """The shared tail of make_functional and from_paper_convention, run
+    after each one's loop: T from the position denominators, the mass
+    check, and the merge.  atoms are the checked (position, weight) int
+    pairs with nonzero weights, in input order."""
+    t_scale = _lcm(denominators)
+    total, w_scale = _sum_pairs([(uniform.numerator, uniform.denominator), *(w for _, w in atoms)])
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
-    _, positions, weights = _merge(parsed, t_scale)
-    if len(weights) < len(parsed):
+    _, positions, weights = _merge(atoms, t_scale)
+    if len(weights) < len(atoms):
         # a merged weight's denominator can be smaller than its parts'
         w_scale = _lcm({uniform.denominator, *(den for _, den in weights)})
     return Functional(tuple(positions), tuple(weights), uniform, t_scale, w_scale)
@@ -316,14 +331,32 @@ def make_functional(
     """Validate and normalize a functional.
 
     Coincident atom positions are merged, zero weights dropped, atoms
-    sorted.  Raises DomainError / NegativeWeightError / MassError; the
-    first bad atom, in input order, is the one reported.
+    sorted.  Raises DomainError / NegativeWeightError / MassError, or
+    FunctionalError for a value that is not a rational, in this order
+    (after functional_from_json's shape check, for JSON): the uniform
+    weight, then atom by atom in input order t's value, w's value, t's
+    range and w's sign, and the mass last.
 
-    Each scalar is read once, to an int pair.  The mass is summed
-    pairwise, and the sum's denominator is W; _merge orders the atoms by
-    an exact integer key.
+    One loop does all the per-atom work: it reads each scalar once to an
+    int pair (a string straight through _read_rational), checks it, drops
+    a zero weight and collects the position denominators, whose lcm is T.
+    The mass is then summed pairwise, and the sum's denominator is W;
+    _merge orders the atoms by an exact integer key.
     """
-    return _normalize(((_as_pair(t), _as_pair(w)) for t, w in atoms), uniform_weight)
+    uniform = _read_uniform(uniform_weight)
+    kept = []
+    denominators = set()
+    for t, w in atoms:
+        t = _read_rational(t) if type(t) is str else _as_pair(t)
+        w = _read_rational(w) if type(w) is str else _as_pair(w)
+        if t[0] < 0 or t[0] > t[1]:
+            raise DomainError(f"atom position {_show(t)} outside [0, 1]")
+        if w[0] < 0:
+            raise _negative_weight(t, w)
+        if w[0]:
+            kept.append((t, w))
+            denominators.add(t[1])
+    return _assemble(kept, denominators, uniform)
 
 
 def from_paper_convention(
@@ -334,7 +367,9 @@ def from_paper_convention(
 
     A pair (a, alpha) stands for the term a * f(alpha*x + (1-alpha)*y);
     on the canonical interval (x=0, y=1) that is an atom of weight a at
-    position 1 - alpha.
+    position 1 - alpha.  Errors come pair by pair in input order (alpha's
+    value and range, then a's value), then the uniform weight, then the
+    first negative a, and the mass last.
     """
     mapped = []
     for weight, alpha in pairs:
@@ -343,7 +378,14 @@ def from_paper_convention(
             raise DomainError(f"coefficient {_show((num, den))} outside [0, 1]")
         # 1 - num/den is in lowest terms when num/den is
         mapped.append(((den - num, den), _as_pair(weight)))
-    return _normalize(mapped, uniform_weight)
+    uniform = _read_uniform(uniform_weight)
+    kept = []
+    for t, w in mapped:
+        if w[0] < 0:
+            raise _negative_weight(t, w)
+        if w[0]:
+            kept.append((t, w))
+    return _assemble(kept, {t[1] for t, _ in kept}, uniform)
 
 
 def evaluate(func: Functional, s: Rational) -> Fraction:
@@ -365,39 +407,49 @@ def evaluate(func: Functional, s: Rational) -> Fraction:
 ScalarMap = Callable[[str, object], object]
 
 
-def _as_given(field: str, value: object) -> object:
-    return value
-
-
-def _json_entries(obj: dict, key: str, fields: tuple[str, str], scalar: ScalarMap) -> list:
-    """The (fields[0], fields[1]) values, read through scalar, of every
-    entry of obj[key], which must be a list of objects carrying both fields."""
+def _json_entries(
+    obj: dict, key: str, fields: tuple[str, str], scalar: Optional[ScalarMap]
+) -> list:
+    """The (fields[0], fields[1]) values of every entry of obj[key], which
+    must be a list of objects carrying both fields; each value as it
+    stands, or read through scalar when one is given."""
     entries = obj[key]
     if not isinstance(entries, list):
         raise FunctionalError(f"'{key}' must be a list, got {type(entries).__name__}")
+    first, second = fields
     out = []
     for entry in entries:
         if not isinstance(entry, dict):
             name = type(entry).__name__
             raise FunctionalError(f"each '{key}' entry must be an object, got {name}")
-        for field in fields:
-            if field not in entry:
-                raise FunctionalError(f"a '{key}' entry has no {field!r} key")
-        out.append([scalar(field, entry[field]) for field in fields])
+        if first not in entry or second not in entry:
+            missing = second if first in entry else first
+            article = "an" if key == "atoms" else "a"
+            raise FunctionalError(f"{article} '{key}' entry has no {missing!r} key")
+        if scalar is None:
+            out.append((entry[first], entry[second]))
+        else:
+            out.append((scalar(first, entry[first]), scalar(second, entry[second])))
     return out
 
 
-def functional_from_json(obj: object, scalar: ScalarMap = _as_given) -> Functional:
+def functional_from_json(obj: object, scalar: Optional[ScalarMap] = None) -> Functional:
     """Parse {"atoms": [{"t","w"},...], "uniform"} or the paper-convention
     form {"pairs": [{"alpha","a"},...], "uniform"}.
 
     This is the one walk over functional JSON and its one shape check:
     anything else raises FunctionalError, never KeyError or TypeError;
-    keys outside the shape are ignored.  Each scalar is read as
-    scalar(field, value), field being "t", "w", "a", "alpha" or "uniform"."""
+    keys outside the shape are ignored.  The shape of every entry is
+    checked before any value is read, and the raw values go to
+    make_functional or from_paper_convention, which read and check them.
+    A scalar map, when given, is applied to each value as it is walked,
+    uniform's first, as scalar(field, value), field being "t", "w", "a",
+    "alpha" or "uniform"."""
     if not isinstance(obj, dict):
         raise FunctionalError(f"functional JSON must be an object, got {type(obj).__name__}")
-    uniform = scalar("uniform", obj.get("uniform", 0))
+    uniform = obj.get("uniform", 0)
+    if scalar is not None:
+        uniform = scalar("uniform", uniform)
     if "atoms" in obj and "pairs" in obj:
         raise FunctionalError("functional JSON cannot carry both 'atoms' and 'pairs'")
     if "atoms" in obj:

@@ -487,12 +487,16 @@ def test_json_rejects_both_forms():
         # sign, and the mass last
         ({"atoms": "x"}, "'atoms' must be a list, got str"),
         ({"atoms": [{"t": 0, "w": 1}, 1]}, "each 'atoms' entry must be an object, got int"),
-        ({"atoms": [{"t": "x", "w": 1}, {"w": 1}]}, "a 'atoms' entry has no 't' key"),
+        ({"atoms": [{"t": "x", "w": 1}, {"w": 1}]}, "an 'atoms' entry has no 't' key"),
         ({"atoms": [{"t": "x", "w": 1}], "uniform": "y"},
          "cannot parse rational 'y': Invalid literal for Fraction: 'y'"),
         ({"atoms": [{"t": "3/2", "w": "x"}]},
          "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
         ({"atoms": [{"t": "1/2", "w": 1}, {"t": "3/2", "w": 2}]}, "atom position 3/2 outside [0, 1]"),
+        # null is refused by its type, as a list or an object is
+        ({"atoms": [{"t": None, "w": 1}]}, "not a rational: got NoneType"),
+        ({"atoms": [{"t": 0}]}, "an 'atoms' entry has no 'w' key"),
+        ({"pairs": [{"a": 1}]}, "a 'pairs' entry has no 'alpha' key"),
     ]:
         with pytest.raises(FunctionalError) as raised:
             functional_from_json(blob)
