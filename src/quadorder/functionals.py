@@ -12,19 +12,20 @@ terms, with T and W, the common denominators of its positions and of
 its weights, computed once; make_functional orders atoms by an exact
 integer key (the position over T while T fits _SHORT_T_BITS, else the
 position scaled by a power of two only as large as its own denominators
-need) and sums their weights pairwise (_sum_pairs), which yields W.  Every
-input string is read straight to such a pair by one number grammar (see
+need) and sums their weights pairwise (_sum_pairs), one term per
+distinct weight denominator, which yields W.  Every input string is
+read straight to such a pair by one number grammar (see
 _read_rational), whatever the Python version.  Floats are rejected at
 the boundary: decisions downstream hinge on sharp equalities, and a
 float that "looks like" 9/10 is not 9/10.
 
 Functional JSON is read in one pass per atom: functional_from_json walks
 the shape once and hands the raw values to make_functional, whose one
-loop reads each atom, checks its range and sign, drops a zero weight and
-collects the position denominators.  A bad input is reported in one
-order: the shape of every entry first, then the uniform weight, then
-atom by atom t's text, w's text, t's range and w's sign, and the mass
-last.
+loop reads each atom, checks its range and sign, drops a zero weight,
+collects the position denominators and adds up the weight numerators
+per denominator.  A bad input is reported in one order: the shape of
+every entry first, then the uniform weight, then atom by atom t's text,
+w's text, t's range and w's sign, and the mass last.
 
 The test functions are the hinges h_s(t) = max(t - s, 0), s in [0, 1]:
 by the Levin-Steckin theorem they decide the convex order together with
@@ -307,14 +308,19 @@ def _negative_weight(t: tuple[int, int], w: tuple[int, int]) -> NegativeWeightEr
 def _assemble(
     atoms: list[tuple[tuple[int, int], tuple[int, int]]],
     denominators: Iterable[int],
+    masses: dict[int, int],
     uniform: Fraction,
 ) -> Functional:
     """The shared tail of make_functional and from_paper_convention, run
     after each one's loop: T from the position denominators, the mass
     check, and the merge.  atoms are the checked (position, weight) int
-    pairs with nonzero weights, in input order."""
+    pairs with nonzero weights, in input order; masses maps each of their
+    weight denominators to the sum of the numerators over it, so the
+    pairwise sum makes one add per distinct denominator."""
     t_scale = _lcm(denominators)
-    total, w_scale = _sum_pairs([(uniform.numerator, uniform.denominator), *(w for _, w in atoms)])
+    total, w_scale = _sum_pairs(
+        [(uniform.numerator, uniform.denominator), *((num, den) for den, num in masses.items())]
+    )
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
     _, positions, weights = _merge(atoms, t_scale)
@@ -339,13 +345,15 @@ def make_functional(
 
     One loop does all the per-atom work: it reads each scalar once to an
     int pair (a string straight through _read_rational), checks it, drops
-    a zero weight and collects the position denominators, whose lcm is T.
-    The mass is then summed pairwise, and the sum's denominator is W;
-    _merge orders the atoms by an exact integer key.
+    a zero weight, collects the position denominators, whose lcm is T,
+    and adds up the weight numerators that share a denominator.  Those
+    sums are then added pairwise, and the sum's denominator is W; _merge
+    orders the atoms by an exact integer key.
     """
     uniform = _read_uniform(uniform_weight)
     kept = []
     denominators = set()
+    masses: dict[int, int] = {}
     for t, w in atoms:
         t = _read_rational(t) if type(t) is str else _as_pair(t)
         w = _read_rational(w) if type(w) is str else _as_pair(w)
@@ -356,7 +364,8 @@ def make_functional(
         if w[0]:
             kept.append((t, w))
             denominators.add(t[1])
-    return _assemble(kept, denominators, uniform)
+            masses[w[1]] = masses.get(w[1], 0) + w[0]
+    return _assemble(kept, denominators, masses, uniform)
 
 
 def from_paper_convention(
@@ -380,12 +389,14 @@ def from_paper_convention(
         mapped.append(((den - num, den), _as_pair(weight)))
     uniform = _read_uniform(uniform_weight)
     kept = []
+    masses: dict[int, int] = {}
     for t, w in mapped:
         if w[0] < 0:
             raise _negative_weight(t, w)
         if w[0]:
             kept.append((t, w))
-    return _assemble(kept, {t[1] for t, _ in kept}, uniform)
+            masses[w[1]] = masses.get(w[1], 0) + w[0]
+    return _assemble(kept, {t[1] for t, _ in kept}, masses, uniform)
 
 
 def evaluate(func: Functional, s: Rational) -> Fraction:
