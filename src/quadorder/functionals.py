@@ -20,12 +20,14 @@ the boundary: decisions downstream hinge on sharp equalities, and a
 float that "looks like" 9/10 is not 9/10.
 
 Functional JSON is read in one pass per atom: functional_from_json walks
-the shape once and hands the raw values to make_functional, whose one
-loop reads each atom, checks its range and sign, drops a zero weight,
-collects the position denominators and adds up the weight numerators
-per denominator.  A bad input is reported in one order: the shape of
-every entry first, then the uniform weight, then atom by atom t's text,
-w's text, t's range and w's sign, and the mass last.
+the shape once and hands the raw values to make_functional or, for
+(a, alpha) pairs, from_paper_convention.  Both run one loop, which reads
+each entry, checks its range and sign, drops a zero weight, collects the
+position denominators and adds up the weight numerators per
+denominator.  Both forms report a bad input in one order: the shape of
+every entry first, then the uniform weight, then entry by entry the
+first value's text (t or alpha), the second's (w or a), the first's
+range and the second's sign, and the mass last.
 
 The test functions are the hinges h_s(t) = max(t - s, 0), s in [0, 1]:
 by the Levin-Steckin theorem they decide the convex order together with
@@ -172,12 +174,6 @@ def as_fraction(value: Rational) -> Fraction:
     return Fraction(*_as_pair(value))
 
 
-def _show(pair: tuple[int, int]) -> str:
-    """A pair as str(Fraction) shows it: "p/q", or "p" when q is 1."""
-    num, den = pair
-    return f"{num}/{den}" if den != 1 else str(num)
-
-
 def _lcm(denominators: Iterable[int]) -> int:
     """lcm of the denominators, taken pairwise in a balanced tree: folding
     them one at a time multiplies a growing lcm by each small one, and is
@@ -292,39 +288,46 @@ def _merge(atoms: Iterable[tuple[tuple[int, int], tuple[int, int]]], t_scale: in
     return keys, positions, weights
 
 
-def _read_uniform(value: Rational) -> Fraction:
-    """The uniform weight as a Fraction, refused if it is negative."""
-    uniform = as_fraction(value)
+def _functional(
+    entries: Iterable[tuple[Rational, Rational]], uniform_weight: Rational, alphas: bool
+) -> Functional:
+    """The one loop behind make_functional and from_paper_convention: it
+    reads and checks each entry, (t, w) or with alphas (a, alpha), whose
+    alpha stands where t stands and becomes the position 1 - alpha once
+    its range is checked; then it checks the mass and merges."""
+    uniform = as_fraction(uniform_weight)
     if uniform.numerator < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
-    return uniform
-
-
-def _negative_weight(t: tuple[int, int], w: tuple[int, int]) -> NegativeWeightError:
-    """The error for weight w < 0 on the atom at t."""
-    return NegativeWeightError(f"atom weight {_show(w)} < 0 at position {_show(t)}")
-
-
-def _assemble(
-    atoms: list[tuple[tuple[int, int], tuple[int, int]]],
-    denominators: Iterable[int],
-    masses: dict[int, int],
-    uniform: Fraction,
-) -> Functional:
-    """The shared tail of make_functional and from_paper_convention, run
-    after each one's loop: T from the position denominators, the mass
-    check, and the merge.  atoms are the checked (position, weight) int
-    pairs with nonzero weights, in input order; masses maps each of their
-    weight denominators to the sum of the numerators over it, so the
-    pairwise sum makes one add per distinct denominator."""
+    where = "coefficient" if alphas else "atom position"
+    kept = []
+    denominators = set()
+    # the weight numerators added up per denominator, so that the pairwise
+    # mass sum makes one add per distinct denominator
+    masses: dict[int, int] = {}
+    for t, w in entries:
+        if alphas:
+            t, w = w, t
+        t = _read_rational(t) if type(t) is str else _as_pair(t)
+        w = _read_rational(w) if type(w) is str else _as_pair(w)
+        if t[0] < 0 or t[0] > t[1]:
+            raise DomainError(f"{where} {Fraction(*t)} outside [0, 1]")
+        if alphas:
+            # 1 - num/den is in lowest terms when num/den is
+            t = (t[1] - t[0], t[1])
+        if w[0] < 0:
+            raise NegativeWeightError(f"atom weight {Fraction(*w)} < 0 at position {Fraction(*t)}")
+        if w[0]:
+            kept.append((t, w))
+            denominators.add(t[1])
+            masses[w[1]] = masses.get(w[1], 0) + w[0]
     t_scale = _lcm(denominators)
     total, w_scale = _sum_pairs(
         [(uniform.numerator, uniform.denominator), *((num, den) for den, num in masses.items())]
     )
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
-    _, positions, weights = _merge(atoms, t_scale)
-    if len(weights) < len(atoms):
+    _, positions, weights = _merge(kept, t_scale)
+    if len(weights) < len(kept):
         # a merged weight's denominator can be smaller than its parts'
         w_scale = _lcm({uniform.denominator, *(den for _, den in weights)})
     return Functional(tuple(positions), tuple(weights), uniform, t_scale, w_scale)
@@ -334,69 +337,29 @@ def make_functional(
     atoms: Iterable[tuple[Rational, Rational]],
     uniform_weight: Rational = ZERO,
 ) -> Functional:
-    """Validate and normalize a functional.
-
-    Coincident atom positions are merged, zero weights dropped, atoms
-    sorted.  Raises DomainError / NegativeWeightError / MassError, or
-    FunctionalError for a value that is not a rational, in this order
-    (after functional_from_json's shape check, for JSON): the uniform
-    weight, then atom by atom in input order t's value, w's value, t's
-    range and w's sign, and the mass last.
-
-    One loop does all the per-atom work: it reads each scalar once to an
-    int pair (a string straight through _read_rational), checks it, drops
-    a zero weight, collects the position denominators, whose lcm is T,
-    and adds up the weight numerators that share a denominator.  Those
-    sums are then added pairwise, and the sum's denominator is W; _merge
-    orders the atoms by an exact integer key.
+    """Validate and normalize a functional given as (t, w) atoms:
+    coincident positions are merged, zero weights dropped, atoms sorted.
+    Errors come in the order both forms share (after functional_from_json's
+    shape check, for JSON): the uniform weight's value and sign, then atom
+    by atom in input order t's value, w's value, t's range (DomainError)
+    and w's sign (NegativeWeightError), and the mass (MassError) last; a
+    value that is not a rational raises FunctionalError.
     """
-    uniform = _read_uniform(uniform_weight)
-    kept = []
-    denominators = set()
-    masses: dict[int, int] = {}
-    for t, w in atoms:
-        t = _read_rational(t) if type(t) is str else _as_pair(t)
-        w = _read_rational(w) if type(w) is str else _as_pair(w)
-        if t[0] < 0 or t[0] > t[1]:
-            raise DomainError(f"atom position {_show(t)} outside [0, 1]")
-        if w[0] < 0:
-            raise _negative_weight(t, w)
-        if w[0]:
-            kept.append((t, w))
-            denominators.add(t[1])
-            masses[w[1]] = masses.get(w[1], 0) + w[0]
-    return _assemble(kept, denominators, masses, uniform)
+    return _functional(atoms, uniform_weight, False)
 
 
 def from_paper_convention(
     pairs: Iterable[tuple[Rational, Rational]],
     uniform_weight: Rational = ZERO,
 ) -> Functional:
-    """Build a functional from (weight, coefficient) pairs.
-
-    A pair (a, alpha) stands for the term a * f(alpha*x + (1-alpha)*y);
-    on the canonical interval (x=0, y=1) that is an atom of weight a at
-    position 1 - alpha.  Errors come pair by pair in input order (alpha's
-    value and range, then a's value), then the uniform weight, then the
-    first negative a, and the mass last.
+    """Build a functional from (a, alpha) pairs.  A pair stands for the
+    term a * f(alpha*x + (1-alpha)*y): on the canonical interval (x=0,
+    y=1), an atom of weight a at position 1 - alpha.  Errors come in
+    make_functional's order, alpha standing where t stands: the uniform
+    weight, then pair by pair alpha's value, a's value, alpha's range and
+    a's sign, and the mass last.
     """
-    mapped = []
-    for weight, alpha in pairs:
-        num, den = _as_pair(alpha)
-        if not 0 <= num <= den:
-            raise DomainError(f"coefficient {_show((num, den))} outside [0, 1]")
-        # 1 - num/den is in lowest terms when num/den is
-        mapped.append(((den - num, den), _as_pair(weight)))
-    uniform = _read_uniform(uniform_weight)
-    kept = []
-    masses: dict[int, int] = {}
-    for t, w in mapped:
-        if w[0] < 0:
-            raise _negative_weight(t, w)
-        if w[0]:
-            kept.append((t, w))
-            masses[w[1]] = masses.get(w[1], 0) + w[0]
-    return _assemble(kept, {t[1] for t, _ in kept}, masses, uniform)
+    return _functional(pairs, uniform_weight, True)
 
 
 def evaluate(func: Functional, s: Rational) -> Fraction:

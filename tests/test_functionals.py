@@ -354,6 +354,43 @@ def test_paper_convention_reports_the_first_bad_pair_in_input_order():
         assert str(caught.value) == f"coefficient {shown} outside [0, 1]"
 
 
+# good values, and values bad in each way a reader can refuse one
+PAPER_VALUES = st.sampled_from(
+    ["0", "1", "1/2", "1/3", "2/3", "2/4", F(1, 6), 1, "x", None, "3/2", "-1/3", 0.5, 2]
+)
+
+
+@given(
+    st.lists(st.tuples(PAPER_VALUES, PAPER_VALUES), max_size=4),
+    PAPER_VALUES | st.just(0),
+)
+def test_both_forms_build_and_refuse_alike(pairs, uniform):
+    # the pairs form is the atoms form at t = 1 - alpha, down to the error
+    # it reports: the same Functional, or the same exception class
+    def build(make, entries):
+        try:
+            return make(entries, uniform)
+        except FunctionalError as exc:
+            return exc
+    paper = build(from_paper_convention, pairs)
+    atoms = []
+    for a, alpha in pairs:
+        try:
+            t = 1 - as_fraction(alpha)
+        except FunctionalError:
+            t = alpha  # refused by make_functional as from_paper_convention refuses it
+        atoms.append((t, a))
+    direct = build(make_functional, atoms)
+    if isinstance(paper, Functional):
+        assert paper == direct
+    else:
+        assert type(paper) is type(direct)
+        if isinstance(paper, DomainError):
+            # "coefficient c outside [0, 1]" and "atom position 1 - c outside [0, 1]"
+            _, alpha, *_ = str(paper).split()
+            assert str(direct).split()[:3] == ["atom", "position", str(1 - F(alpha))]
+
+
 # ---------------------------------------------------------------------------
 # distribution functions
 # ---------------------------------------------------------------------------
@@ -497,6 +534,15 @@ def test_json_rejects_both_forms():
         ({"atoms": [{"t": None, "w": 1}]}, "not a rational: got NoneType"),
         ({"atoms": [{"t": 0}]}, "an 'atoms' entry has no 'w' key"),
         ({"pairs": [{"a": 1}]}, "a 'pairs' entry has no 'alpha' key"),
+        # the pairs form reports in the same order, alpha standing where t
+        # stands: uniform first, a's text before alpha's range, and the
+        # first bad pair wins
+        ({"pairs": [{"a": "x", "alpha": "1/2"}], "uniform": "y"},
+         "cannot parse rational 'y': Invalid literal for Fraction: 'y'"),
+        ({"pairs": [{"a": "x", "alpha": "3/2"}]},
+         "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+        ({"pairs": [{"a": "-1", "alpha": "1/2"}, {"a": "1", "alpha": "3/2"}]},
+         "atom weight -1 < 0 at position 1/2"),
     ]:
         with pytest.raises(FunctionalError) as raised:
             functional_from_json(blob)
