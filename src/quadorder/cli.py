@@ -27,7 +27,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .functionals import (
@@ -40,7 +40,7 @@ from .functionals import (
     as_fraction,
     functional_from_json,
 )
-from .oracle import oracle_decide, refine_grid
+from .oracle import oracle_decide
 from .ordering import (
     FAILS,
     InternalDisagreement,
@@ -325,13 +325,19 @@ class ScanSpec:
     step: Fraction
     fixed: dict[str, Fraction]
 
-    def grid(self) -> list[Fraction]:
+    def grid(self) -> tuple[Fraction, ...]:
+        """The sweep values, built on the first call and kept; a tuple, so
+        that no caller changes what the next one reads."""
+        return self._grid
+
+    @cached_property
+    def _grid(self) -> tuple[Fraction, ...]:
         count = (self.stop - self.start) // self.step + 1
         if count > MAX_GRID_POINTS:
             raise CLIError(
                 f"sweep grid has {count} points, more than the limit of {MAX_GRID_POINTS}"
             )
-        return [self.start + i * self.step for i in range(count)]
+        return tuple(self.start + i * self.step for i in range(count))
 
     def params_at(self, value: Fraction) -> dict[str, Fraction]:
         return {**self.fixed, self.sweep: value}
@@ -360,8 +366,12 @@ def _make_scan_spec(
     fixed.pop(name, None)
     spec = ScanSpec(family, name, start, stop, step, fixed)
     if family.params:
-        for value in spec.grid():
-            _validate_family_params(family, spec.params_at(value))
+        # every parameter at the first grid point, then the swept one alone:
+        # the first bad value raises, as it would point by point
+        grid = spec.grid()
+        _validate_family_params(family, spec.params_at(grid[0]))
+        for value in grid[1:]:
+            _validate_family_params(family, {name: value})
     return spec
 
 
@@ -733,7 +743,7 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
         check = check_params(params)
         a, b = functional_pair(params)
         verdict = decide(a, b)
-        report = oracle_decide(a, b, refine_grid(a, b))
+        report = oracle_decide(a, b)
         oracle_clean = report.max_violation == 0
         if verdict.holds:
             holds_count += 1

@@ -27,7 +27,8 @@ position denominators and adds up the weight numerators per
 denominator.  Both forms report a bad input in one order: the shape of
 every entry first, then the uniform weight, then entry by entry the
 first value's text (t or alpha), the second's (w or a), the first's
-range and the second's sign, and the mass last.
+range and the second's sign, and the mass last.  A scalar map given to
+functional_from_json reads the values in that same order.
 
 The test functions are the hinges h_s(t) = max(t - s, 0), s in [0, 1]:
 by the Levin-Steckin theorem they decide the convex order together with
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 __all__ = [
     "FunctionalError",
@@ -381,16 +382,14 @@ def evaluate(func: Functional, s: Rational) -> Fraction:
 ScalarMap = Callable[[str, object], object]
 
 
-def _json_entries(
-    obj: dict, key: str, fields: tuple[str, str], scalar: Optional[ScalarMap]
-) -> list:
-    """The (fields[0], fields[1]) values of every entry of obj[key], which
-    must be a list of objects carrying both fields; each value as it
-    stands, or read through scalar when one is given."""
+def _json_entries(obj: dict, key: str) -> list:
+    """The (t, w) values of every entry of obj["atoms"], or the (a, alpha)
+    values of every entry of obj["pairs"], as they stand; obj[key] must be
+    a list of objects carrying both fields."""
     entries = obj[key]
     if not isinstance(entries, list):
         raise FunctionalError(f"'{key}' must be a list, got {type(entries).__name__}")
-    first, second = fields
+    first, second = ("t", "w") if key == "atoms" else ("a", "alpha")
     out = []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -400,11 +399,19 @@ def _json_entries(
             missing = second if first in entry else first
             article = "an" if key == "atoms" else "a"
             raise FunctionalError(f"{article} '{key}' entry has no {missing!r} key")
-        if scalar is None:
-            out.append((entry[first], entry[second]))
-        else:
-            out.append((scalar(first, entry[first]), scalar(second, entry[second])))
+        out.append((entry[first], entry[second]))
     return out
+
+
+def _mapped(entries: list, key: str, scalar: ScalarMap) -> Iterator[tuple[object, object]]:
+    """The entries read through scalar one at a time, as the building loop
+    pulls them, t or alpha first (a pairs entry is (a, alpha))."""
+    for x, y in entries:
+        if key == "atoms":
+            yield scalar("t", x), scalar("w", y)
+        else:
+            y = scalar("alpha", y)
+            yield scalar("a", x), y
 
 
 def functional_from_json(obj: object, scalar: Optional[ScalarMap] = None) -> Functional:
@@ -416,22 +423,22 @@ def functional_from_json(obj: object, scalar: Optional[ScalarMap] = None) -> Fun
     keys outside the shape are ignored.  The shape of every entry is
     checked before any value is read, and the raw values go to
     make_functional or from_paper_convention, which read and check them.
-    A scalar map, when given, is applied to each value as it is walked,
-    uniform's first, as scalar(field, value), field being "t", "w", "a",
-    "alpha" or "uniform"."""
+    A scalar map, when given, reads each value as scalar(field, value),
+    field being "t", "w", "a", "alpha" or "uniform", in the order those
+    read them: uniform's first, then entry by entry, t or alpha first."""
     if not isinstance(obj, dict):
         raise FunctionalError(f"functional JSON must be an object, got {type(obj).__name__}")
+    if "atoms" in obj and "pairs" in obj:
+        raise FunctionalError("functional JSON cannot carry both 'atoms' and 'pairs'")
+    key = "atoms" if "atoms" in obj else "pairs"
+    if key not in obj:
+        raise FunctionalError("functional JSON needs an 'atoms' or 'pairs' key")
+    entries = _json_entries(obj, key)
     uniform = obj.get("uniform", 0)
     if scalar is not None:
         uniform = scalar("uniform", uniform)
-    if "atoms" in obj and "pairs" in obj:
-        raise FunctionalError("functional JSON cannot carry both 'atoms' and 'pairs'")
-    if "atoms" in obj:
-        return make_functional(_json_entries(obj, "atoms", ("t", "w"), scalar), uniform)
-    if "pairs" in obj:
-        pairs = _json_entries(obj, "pairs", ("a", "alpha"), scalar)
-        return from_paper_convention(pairs, uniform)
-    raise FunctionalError("functional JSON needs an 'atoms' or 'pairs' key")
+        entries = _mapped(entries, key, scalar)
+    return (make_functional if key == "atoms" else from_paper_convention)(entries, uniform)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ grid that provably contains a violating hinge whenever one exists, so
 "no violation on the refined grid" is a complete check, not a sampling
 heuristic.
 
-All arithmetic runs on plain ints, with its own code: every position of
-both sides is scaled to one common denominator T, every weight (uniform
-weights included) to one common denominator W, and each side becomes a
-suffix table of mass and first moment.  A gap is carried as a numerator
-over 2 q^2 W T for the grid point s = p/q, candidates are compared by
-cross-multiplication, and one Fraction is built for the answer.
+All arithmetic runs on plain ints, with its own code: positions are
+scaled to one common denominator T, weights to one W, and each side
+becomes a suffix table of mass and first moment.  oracle_decide(a, b)
+builds the tables once, generates the refined grid from them as int
+pairs (x, m), the points s = x / (m T), and scores them in one walk; a
+gap is a numerator over 2 m^2 W T^2, and only the answer is a Fraction.
 """
 
 from __future__ import annotations
@@ -42,23 +42,6 @@ class OracleReport:
     tested_functions: int
     max_violation: Fraction
     worst_s: Optional[Fraction]
-
-
-def _scales(a: Functional, b: Functional) -> tuple[int, int]:
-    """T, the common denominator of every position of both sides, and W,
-    that of every weight and uniform weight, from the atoms' int pairs."""
-    t_scale = lcm(*{den for f in (a, b) for _, den in f.position_pairs})
-    w_scale = lcm(
-        a.uniform_weight.denominator,
-        b.uniform_weight.denominator,
-        *{den for f in (a, b) for _, den in f.weight_pairs},
-    )
-    return t_scale, w_scale
-
-
-def _scaled(value: Fraction, scale: int) -> int:
-    """value * scale, for a scale that value's denominator divides."""
-    return value.numerator * (scale // value.denominator)
 
 
 def _hinge_table(
@@ -89,6 +72,56 @@ def _hinge_table(
     return positions, mass, moment
 
 
+def _tables(a: Functional, b: Functional) -> tuple:
+    """T, the common denominator of every position of both sides; W, that
+    of every weight and uniform weight; the hinge tables of both sides; and
+    u_A - u_B in units of 1/W."""
+    t_scale = lcm(*{den for f in (a, b) for _, den in f.position_pairs})
+    u_a, u_b = a.uniform_weight, b.uniform_weight
+    w_scale = lcm(u_a.denominator, u_b.denominator, *{d for f in (a, b) for _, d in f.weight_pairs})
+    du = u_a.numerator * (w_scale // u_a.denominator) - u_b.numerator * (w_scale // u_b.denominator)
+    table_a, table_b = (_hinge_table(f, t_scale, w_scale) for f in (a, b))
+    return t_scale, w_scale, table_a, table_b, du
+
+
+def _refined(t_scale: int, table_a: tuple, table_b: tuple, du: int) -> list[tuple[int, int]]:
+    """The refined grid as int pairs (x, m), each the point s = x / (m T),
+    strictly increasing.
+
+    Takes every breakpoint of F_A - F_B, the midpoint of every segment,
+    and the exact vertex of the hinge-gap map on every segment where it
+    has one.  The gap s -> A(h_s) - B(h_s) is piecewise quadratic with
+    derivative F_A(s) - F_B(s) = (u_B - u_A)(1 - s) + M_B(s) - M_A(s),
+    where M(s) is the atom mass strictly above s; its maximum over a
+    segment sits at an endpoint or at that vertex.
+    """
+    (pos_a, mass_a, _), (pos_b, mass_b, _) = table_a, table_b
+    points = sorted({0, t_scale, *pos_a[:-1], *pos_b[:-1]})
+    grid = []
+    i = j = 0
+    for left, right in zip(points, points[1:]):
+        grid.append((left, 1))
+        mid = (left + right, 2)
+        if not du:
+            grid.append(mid)
+            continue
+        while pos_a[i] <= left:
+            i += 1
+        while pos_b[j] <= left:
+            j += 1
+        # vertex = 1 + (M_A - M_B) / (u_A - u_B) = num / den, with den > 0
+        num, den = du + mass_a[i] - mass_b[j], du
+        if den < 0:
+            num, den = -num, -den
+        vertex, twice_mid = t_scale * num, (left + right) * den
+        if left * den < vertex < right * den and 2 * vertex != twice_mid:
+            grid += ((vertex, den), mid) if 2 * vertex < twice_mid else (mid, (vertex, den))
+        else:
+            grid.append(mid)
+    grid.append((t_scale, 1))
+    return grid
+
+
 def _sorted_grid(s_grid: Iterable[Fraction]) -> list[Fraction]:
     """The grid as Fractions, strictly increasing; sorted and deduplicated
     only when it is not so already."""
@@ -105,82 +138,45 @@ def _sorted_grid(s_grid: Iterable[Fraction]) -> list[Fraction]:
 
 
 def oracle_decide(
-    a: Functional, b: Functional, s_grid: Iterable[Fraction]
+    a: Functional, b: Functional, s_grid: Optional[Iterable[Fraction]] = None
 ) -> OracleReport:
     """Worst violation of A(f) <= B(f) over hinges on the grid plus the
-    linear maps t and -t (barycenter check)."""
-    grid = _sorted_grid(s_grid)
-    t_scale, w_scale = _scales(a, b)
-    pos_a, mass_a, mom_a = _hinge_table(a, t_scale, w_scale)
-    pos_b, mass_b, mom_b = _hinge_table(b, t_scale, w_scale)
-    # T (u_A - u_B), in units of 1/W
-    du_t = t_scale * (
-        _scaled(a.uniform_weight, w_scale) - _scaled(b.uniform_weight, w_scale)
-    )
-    # the worst gap so far is best / (2 best_q2 W T)
-    best, best_q2 = 0, 1
-    worst_s: Optional[Fraction] = None
+    linear maps t and -t (barycenter check).  The grid is optional: without
+    one the oracle decides on refine_grid(a, b), built here as int pairs."""
+    t_scale, w_scale, table_a, table_b, du = _tables(a, b)
+    if s_grid is None:
+        grid = _refined(t_scale, table_a, table_b, du)
+    else:
+        grid = [(s.numerator * t_scale, s.denominator) for s in _sorted_grid(s_grid)]
+    (pos_a, mass_a, mom_a), (pos_b, mass_b, mom_b) = table_a, table_b
+    # the worst gap so far is best / (2 best_m2 W T^2)
+    best, best_m2 = 0, 1
+    worst = None
     i = j = 0
-    for s in grid:
-        p, q = s.numerator, s.denominator
-        pt = p * t_scale
+    for x, m in grid:
         # hinges with positions <= s contribute nothing
-        while pos_a[i] * q <= pt:
+        while pos_a[i] * m <= x:
             i += 1
-        while pos_b[j] * q <= pt:
+        while pos_b[j] * m <= x:
             j += 1
-        gap = 2 * q * (q * (mom_a[i] - mom_b[j]) - pt * (mass_a[i] - mass_b[j]))
-        if du_t:
-            gap += du_t * (q - p) ** 2
-        q2 = q * q
-        if gap * best_q2 > best * q2:
-            best, best_q2, worst_s = gap, q2, s
-    # t is the hinge at s = 0 (q = 1) and -t its negation
-    mean_gap = abs(2 * (mom_a[0] - mom_b[0]) + du_t)
-    if mean_gap * best_q2 > best:
-        best, best_q2, worst_s = mean_gap, 1, None
-    max_violation = Fraction(best, 2 * best_q2 * w_scale * t_scale)
+        mt = m * t_scale
+        gap = 2 * mt * (m * (mom_a[i] - mom_b[j]) - x * (mass_a[i] - mass_b[j]))
+        if du:
+            gap += du * (mt - x) ** 2
+        m2 = m * m
+        if gap * best_m2 > best * m2:
+            best, best_m2, worst = gap, m2, (x, m)
+    # t is the hinge at s = 0 (m = 1) and -t its negation
+    mean_gap = abs(2 * (mom_a[0] - mom_b[0]) + du * t_scale) * t_scale
+    if mean_gap * best_m2 > best:
+        best, best_m2, worst = mean_gap, 1, None
+    max_violation = Fraction(best, 2 * best_m2 * w_scale * t_scale**2)
+    worst_s = None if worst is None else Fraction(worst[0], worst[1] * t_scale)
     return OracleReport(len(grid) + 2, max_violation, worst_s)
 
 
 def refine_grid(a: Functional, b: Functional) -> list[Fraction]:
-    """Finite grid guaranteed to expose a violating hinge if one exists.
-
-    Takes every breakpoint of F_A - F_B, the midpoint of every segment,
-    and the exact vertex of the hinge-gap map on every segment where it
-    has one.  The gap s -> A(h_s) - B(h_s) is piecewise quadratic with
-    derivative F_B(s) - F_A(s) ... = (u_B - u_A)(1 - s) + M_B(s) - M_A(s),
-    where M(s) is the atom mass strictly above s; its maximum over a
-    segment sits at an endpoint or at that vertex.  The points come out
-    sorted and unique.
-    """
-    t_scale, w_scale = _scales(a, b)
-    pos_a, mass_a, _ = _hinge_table(a, t_scale, w_scale)
-    pos_b, mass_b, _ = _hinge_table(b, t_scale, w_scale)
-    # u_B - u_A, in units of 1/W
-    du = _scaled(b.uniform_weight, w_scale) - _scaled(a.uniform_weight, w_scale)
-    points = sorted({0, t_scale, *pos_a[:-1], *pos_b[:-1]})
-    grid = []
-    i = j = 0
-    for left, right in zip(points, points[1:]):
-        grid.append(Fraction(left, t_scale))
-        mid = Fraction(left + right, 2 * t_scale)
-        if not du:
-            grid.append(mid)
-            continue
-        while pos_a[i] <= left:
-            i += 1
-        while pos_b[j] <= left:
-            j += 1
-        # vertex = 1 + (M_B - M_A) / du = num / den, with den > 0
-        num, den = du + mass_b[j] - mass_a[i], du
-        if den < 0:
-            num, den = -num, -den
-        vertex, twice_mid = t_scale * num, (left + right) * den
-        if left * den < vertex < right * den and 2 * vertex != twice_mid:
-            s = Fraction(num, den)
-            grid += (s, mid) if 2 * vertex < twice_mid else (mid, s)
-        else:
-            grid.append(mid)
-    grid.append(Fraction(1))
-    return grid
+    """Finite grid guaranteed to expose a violating hinge if one exists:
+    the Fraction view of the one oracle_decide(a, b) walks (see _refined)."""
+    t_scale, _, table_a, table_b, du = _tables(a, b)
+    return [Fraction(x, m * t_scale) for x, m in _refined(t_scale, table_a, table_b, du)]

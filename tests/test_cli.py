@@ -502,6 +502,27 @@ def test_threshold_rejects_out_of_range_grid(capsys):
     assert "outside the valid range" in err
 
 
+@pytest.mark.parametrize("command", ["scan", "threshold"])
+def test_sweep_names_its_first_bad_value(capsys, command):
+    # the grid leaves x's range [0, 1/2] mid-way: 5/8 is named, not 3/4 or 1
+    code, out, err = run(capsys, command, "--family", "bp1", "--sweep", "x=1/8:1:1/8")
+    assert code == 2 and out == ""
+    assert err == "error: x = 5/8 outside the valid range [0, 1/2] for family bp1\n"
+    # a bad --fix wins over a sweep that is bad from its first value on
+    code, out, err = run(
+        capsys, command, "--family", "symmetric3", "--sweep", "a=3/4:1:1/8", "--fix", "alpha=2"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: alpha = 2 outside the valid range (1/2, 1) for family symmetric3\n"
+
+
+def test_sweep_grid_is_built_once_and_read_only():
+    spec = _make_scan_spec(FAMILIES["bp1"], "x=0:1/2:1/8", [])
+    grid = spec.grid()
+    assert grid == (F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2))
+    assert spec.grid() is grid and isinstance(grid, tuple)
+
+
 def test_threshold_range_cap_attained_at_a_closed_bound():
     # No named family closes the range bound on its fail side.
     endpoint4 = FAMILIES["endpoint4"]

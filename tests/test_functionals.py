@@ -510,6 +510,10 @@ def test_json_integer_rationals_accepted():
     assert f == MIDPOINT
 
 
+# a scalar map that reads every value as functional_from_json does
+AS_READ = lambda field, value: as_fraction(value)
+
+
 def test_json_rejects_both_forms():
     with pytest.raises(ValueError):
         functional_from_json({"atoms": [], "pairs": [], "uniform": 1})
@@ -543,10 +547,39 @@ def test_json_rejects_both_forms():
          "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
         ({"pairs": [{"a": "-1", "alpha": "1/2"}, {"a": "1", "alpha": "3/2"}]},
          "atom weight -1 < 0 at position 1/2"),
+        # a scalar map keeps that order: alpha's text before a's, and the
+        # shape of every entry before any value
+        ({"pairs": [{"a": "x", "alpha": "y"}]},
+         "cannot parse rational 'y': Invalid literal for Fraction: 'y'"),
+        ({"pairs": [{"a": "x", "alpha": "1/2"}, 5]}, "each 'pairs' entry must be an object, got int"),
     ]:
-        with pytest.raises(FunctionalError) as raised:
-            functional_from_json(blob)
-        assert str(raised.value) == message
+        for scalar in (None, AS_READ):
+            with pytest.raises(FunctionalError) as raised:
+                functional_from_json(blob, scalar)
+            assert str(raised.value) == message
+
+
+@given(
+    st.booleans(),
+    st.lists(st.tuples(PAPER_VALUES, PAPER_VALUES) | st.just(5), max_size=4),
+    PAPER_VALUES | st.just(0),
+)
+def test_a_scalar_map_reads_in_the_unmapped_order(pairs_form, entries, uniform):
+    # the same Functional, or the same exception class and message
+    fields = ("a", "alpha") if pairs_form else ("t", "w")
+    obj = {
+        "pairs" if pairs_form else "atoms": [
+            dict(zip(fields, entry)) if isinstance(entry, tuple) else entry for entry in entries
+        ],
+        "uniform": uniform,
+    }
+    results = []
+    for scalar in (None, AS_READ):
+        try:
+            results.append(functional_from_json(obj, scalar))
+        except FunctionalError as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

@@ -182,3 +182,45 @@ def test_integer_oracle_matches_the_fraction_reference(family):
             want = reference_oracle_decide(a, b, s_grid)
             assert (got.max_violation, got.worst_s) == (want.max_violation, want.worst_s)
             assert got.tested_functions == want.tested_functions
+
+
+def _report(report) -> tuple:
+    return report.tested_functions, report.max_violation, report.worst_s
+
+
+@pytest.mark.parametrize(
+    "family", ["random", "equal-mean", "uniform-only", "endpoint-atoms", *sorted(_SAMPLERS)]
+)
+def test_one_pass_oracle_matches_the_explicit_grid_and_the_reference(family):
+    # without a grid the oracle decides on refine_grid's points, built as
+    # int pairs; the report is the one the Fraction grid gives
+    rng = random.Random(f"one-pass-{family}")
+    for a, b in pair_family(rng, family, 150):
+        want = _report(reference_oracle_decide(a, b, reference_refine_grid(a, b)))
+        assert _report(oracle_decide(a, b)) == want
+        assert _report(oracle_decide(a, b, refine_grid(a, b))) == want
+
+
+def test_one_pass_oracle_builds_each_table_once_and_no_fraction_grid(monkeypatch):
+    tables, fractions = [], []
+    hinge_table, fraction = quadorder.oracle._hinge_table, quadorder.oracle.Fraction
+
+    def counted_table(*args):
+        tables.append(args[0])
+        return hinge_table(*args)
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(quadorder.oracle, "_hinge_table", counted_table)
+    monkeypatch.setattr(quadorder.oracle, "Fraction", counted_fraction)
+    rng = random.Random(29)
+    pairs = pair_family(rng, "random", 40) + pair_family(rng, "equal-mean", 40)
+    for a, b in pairs:
+        tables.clear()
+        fractions.clear()
+        report = oracle_decide(a, b)
+        # one table per side, and Fractions for max_violation and worst_s only
+        assert tables == [a, b]
+        assert len(fractions) == (1 if report.worst_s is None else 2)
