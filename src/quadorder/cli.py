@@ -28,6 +28,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import ceil, floor
 from typing import Callable, Optional, Sequence
 
 from .functionals import (
@@ -411,9 +412,11 @@ def _resolve_family(args: argparse.Namespace) -> Family:
 # ---------------------------------------------------------------------------
 
 
-# The bisection runs to a resolution of 1/(2 * max_denominator**2), so its
-# decide count grows with the digits of the limit: at this cap a named-family
-# threshold takes about 210 decides.
+# The search resolves the boundary to 1/(2 * max_denominator**2).  A rational
+# boundary within the limit costs a few decides at any limit, but an
+# irrational one costs decides in proportion to the digits of the limit: at
+# this cap a plain bisection would take about 210 decides, and the search
+# takes up to about 15% more.
 MAX_DENOMINATOR = 10**30
 
 
@@ -430,6 +433,11 @@ def run_threshold(
     is exact only when it holds and a fresh probe halfway to the failing
     end fails; otherwise the highest point known to hold is reported
     inexact.
+
+    The bisection is the specification: every probe past the grid is
+    answered from the tightest decided bounds where they settle it, and a
+    galloping Stern-Brocot search first narrows them, so that a boundary
+    p/q within the limit costs O(log q) decides, not O(log limit).
 
     The search runs in u = sign * v, where sign is +1 when the holds-region
     lies below the switch and -1 when it lies above, so the holds side is
@@ -500,22 +508,82 @@ def run_threshold(
         if closed and holds(sign * bound):
             return report(bound, True, True, "range-cap")
         edge = max(sign * v for v in grid)
-        probe = bound - Fraction(1, 2 * max_denominator * bound.denominator)
-        if probe <= edge:
-            probe = (edge + bound) / 2
-        if holds(sign * probe):
+        inside = bound - Fraction(1, 2 * max_denominator * bound.denominator)
+        if inside <= edge:
+            inside = (edge + bound) / 2
+        if holds(sign * inside):
             # No failing point with denominator <= max_denominator short of
             # the bound: the holds-region runs up to the (open) range bound.
             return report(bound, False, True, "range-cap")
-        lo, hi = edge, probe
+        lo, hi = edge, inside
 
-    # Invariant: lo holds, hi fails.  Shrink until [lo, hi] contains at most
-    # one rational with denominator <= max_denominator (two distinct p/q,
-    # r/s differ by >= 1/(q*s)).
+    # Past here every probe goes through probe(u): known holds the tightest
+    # decided bounds, the largest u decided to hold and the smallest decided
+    # to fail, and a u outside them is answered without a decide.
+    known = [lo, hi]
+
+    def probe(u: Fraction) -> bool:
+        if not known[0] < u < known[1]:
+            return u <= known[0]
+        verdict = holds(u if sign > 0 else -u)
+        known[not verdict] = u
+        return verdict
+
+    # Invariant: lo holds, hi fails.  The bisection below shrinks [lo, hi]
+    # until it contains at most one rational with denominator <=
+    # max_denominator (two distinct p/q, r/s differ by >= 1/(q*s)), in
+    # `halvings` steps that end in one of 2**halvings cells of width `cell`.
     resolution = Fraction(1, 2 * max_denominator * max_denominator)
+    span = (hi - lo) / resolution
+    halvings = (-(-span.numerator // span.denominator) - 1).bit_length()
+    cell = (hi - lo) / 2**halvings
+    # A galloping Stern-Brocot search (Kwek & Mehlhorn 2003) in x = u - shift
+    # over the rationals within the limit: ends[True] = a/b holds and
+    # ends[False] = c/d fails (1/0 is +infinity); each turn moves one end
+    # toward the other as far as it keeps its verdict, doubling the step
+    # and then halving back.  Before each turn of the failing end, if the
+    # holds bound has risen since the last such probe, the top of its cell
+    # is probed: when the bound is the boundary, that probe fails and ends
+    # the search, which would otherwise step toward it up to the limit.
+    shift = floor(lo)
+
+    # The largest k >= 0 whose point (n + k dn) / (m + k dm) answers want,
+    # its denominator within the limit.
+    def run(n: int, m: int, dn: int, dm: int, want: bool) -> int:
+        limit = (max_denominator - m) // dm if dm else ceil(hi) - shift
+        test = lambda k: probe(Fraction(shift * (m + k * dm) + n + k * dn, m + k * dm)) == want
+        good, bad = 0, 1
+        while bad <= limit and test(bad):
+            good, bad = bad, 2 * bad
+        bad = min(bad, limit + 1)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if test(mid) else (good, mid)
+        return good
+
+    ends, want, checked = {True: (0, 1), False: (1, 0)}, False, None
+    while True:
+        if not want and checked != known[0]:
+            if not probe(lo + (floor((known[0] - lo) / cell) + 1) * cell):
+                break
+            checked = known[0]
+        (n, m), (dn, dm) = ends[want], ends[not want]
+        if m + dm > max_denominator:
+            break
+        k = run(n, m, dn, dm, want)
+        ends[want], want = (n + k * dn, m + k * dm), not want
+
+    # The halving answers a midpoint that the bounds settle without a
+    # decide, so it resumes from where those answers take it: the smallest
+    # aligned block of cells from the one holding known[0] to the last
+    # below known[1].
+    first, last = floor((known[0] - lo) / cell), ceil((known[1] - lo) / cell) - 1
+    size = 1 << (first ^ last).bit_length()
+    lo += first // size * size * cell
+    hi = lo + size * cell
     while hi - lo > resolution:
         mid = (lo + hi) / 2
-        if holds(sign * mid):
+        if probe(mid):
             lo = mid
         else:
             hi = mid
@@ -523,13 +591,16 @@ def run_threshold(
     # The holds-set is closed, so a failing candidate is not the boundary,
     # and a candidate whose probe toward hi also holds lies below it.  An
     # irrational boundary between a holding candidate and its failing probe
-    # still passes as exact.
+    # still passes as exact.  Every value decided past the grid is a cell
+    # boundary or a rational within the limit, and the final cell holds at
+    # most one such rational; so whatever the holds-set, a value reported as
+    # holding was decided, and so was an exact report's confirming probe.
     candidate = ((lo + hi) / 2).limit_denominator(max_denominator)
-    if not (lo <= candidate <= hi and holds(sign * candidate)):
+    if not (lo <= candidate <= hi and probe(candidate)):
         return report(lo, True, False, "refined")
-    probe = (candidate + hi) / 2
-    if holds(sign * probe):
-        return report(probe, True, False, "refined")
+    beyond = (candidate + hi) / 2
+    if probe(beyond):
+        return report(beyond, True, False, "refined")
     return report(candidate, True, True, "refined")
 
 

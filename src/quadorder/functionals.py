@@ -295,16 +295,13 @@ def _functional(
     """The one loop behind make_functional and from_paper_convention: it
     reads and checks each entry, (t, w) or with alphas (a, alpha), whose
     alpha stands where t stands and becomes the position 1 - alpha once
-    its range is checked; then it checks the mass and merges."""
+    its range is checked; then it merges and checks the mass."""
     uniform = as_fraction(uniform_weight)
     if uniform.numerator < 0:
         raise NegativeWeightError(f"uniform weight {uniform} < 0")
     where = "coefficient" if alphas else "atom position"
     kept = []
     denominators = set()
-    # the weight numerators added up per denominator, so that the pairwise
-    # mass sum makes one add per distinct denominator
-    masses: dict[int, int] = {}
     for t, w in entries:
         if alphas:
             t, w = w, t
@@ -320,17 +317,17 @@ def _functional(
         if w[0]:
             kept.append((t, w))
             denominators.add(t[1])
-            masses[w[1]] = masses.get(w[1], 0) + w[0]
     t_scale = _lcm(denominators)
-    total, w_scale = _sum_pairs(
-        [(uniform.numerator, uniform.denominator), *((num, den) for den, num in masses.items())]
-    )
+    _, positions, weights = _merge(kept, t_scale)
+    # the merged weights' numerators added up per denominator, so that the
+    # pairwise mass sum makes one add per distinct denominator and ends
+    # over exactly W, the lcm of the reduced weights' denominators
+    masses: dict[int, int] = {uniform.denominator: uniform.numerator}
+    for num, den in weights:
+        masses[den] = masses.get(den, 0) + num
+    total, w_scale = _sum_pairs((num, den) for den, num in masses.items())
     if total != w_scale:
         raise MassError(f"total mass {Fraction(total, w_scale)} != 1")
-    _, positions, weights = _merge(kept, t_scale)
-    if len(weights) < len(kept):
-        # a merged weight's denominator can be smaller than its parts'
-        w_scale = _lcm({uniform.denominator, *(den for _, den in weights)})
     return Functional(tuple(positions), tuple(weights), uniform, t_scale, w_scale)
 
 

@@ -44,11 +44,12 @@ from quadorder import (
     UNIFORM,
     Verdict,
     as_fraction,
+    decide,
     evaluate,
     functional_pair,
     make_functional,
 )
-from quadorder.cli import _SAMPLERS
+from quadorder.cli import MAX_DENOMINATOR, _SAMPLERS, CLIError, NonMonotoneRegion, ScanSpec
 from quadorder.functionals import HALF, ONE, ZERO
 from quadorder.ordering import _lemma_verdict
 
@@ -383,6 +384,81 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     sub = simplest_between(1 / (hi - f), 1 / (lo - f))
     return f + 1 / sub
 
+
+
+def reference_threshold(spec: ScanSpec, max_denominator: int = 10**6) -> dict:
+    """run_threshold as a plain bisection: every probe is a decide, and the
+    bracket is halved down to 1/(2 max_denominator^2) before the candidate
+    and its confirming probe.  Where the holds-set inside the grid bracket
+    is an interval, run_threshold must give the same dict or raise the same
+    error."""
+    if max_denominator < 1:
+        raise CLIError(f"--max-denominator must be at least 1, got {max_denominator}")
+    if max_denominator > MAX_DENOMINATOR:
+        raise CLIError(f"--max-denominator must be at most {MAX_DENOMINATOR}")
+    family, grid = spec.family, spec.grid()
+
+    def holds(v: Fraction) -> bool:
+        return decide(*family.build(spec.params_at(v))).holds
+
+    flags = [holds(v) for v in grid]
+    switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
+    if len(switches) > 1:
+        raise NonMonotoneRegion(
+            f"holds/fails switches more than once along {spec.sweep}: "
+            f"{['H' if f else 'F' for f in flags]}"
+        )
+    result = {
+        "family": family.name,
+        "sweep": spec.sweep,
+        "fixed": {k: str(v) for k, v in sorted(spec.fixed.items())},
+        "grid": {"start": str(spec.start), "stop": str(spec.stop), "step": str(spec.step)},
+    }
+
+    def report(u: Fraction, attained: bool, exact: bool, basis: str) -> dict:
+        direction = "holds_below" if sign > 0 else "holds_above"
+        result.update(direction=direction, threshold=str(sign * u), attained=attained,
+                      exact=exact, basis=basis)
+        return result
+
+    if switches:
+        i = switches[0]
+        sign = 1 if flags[i] else -1
+        lo, hi = sorted((sign * grid[i], sign * grid[i + 1]))
+    else:
+        if not any(flags):
+            raise NonMonotoneRegion(f"no grid point holds; nothing to bracket along {spec.sweep}")
+        param = family.params.get(spec.sweep)
+        if param is None or param.fail_toward is None:
+            raise NonMonotoneRegion(
+                f"every grid point holds and family {family.name!r} declares no "
+                f"fail direction for {spec.sweep!r}; widen the grid"
+            )
+        sign = 1 if param.fail_toward == "high" else -1
+        bound, closed = max((sign * param.lo, param.lo_closed), (sign * param.hi, param.hi_closed))
+        if closed and holds(sign * bound):
+            return report(bound, True, True, "range-cap")
+        edge = max(sign * v for v in grid)
+        probe = bound - Fraction(1, 2 * max_denominator * bound.denominator)
+        if probe <= edge:
+            probe = (edge + bound) / 2
+        if holds(sign * probe):
+            return report(bound, False, True, "range-cap")
+        lo, hi = edge, probe
+    resolution = Fraction(1, 2 * max_denominator * max_denominator)
+    while hi - lo > resolution:
+        mid = (lo + hi) / 2
+        if holds(sign * mid):
+            lo = mid
+        else:
+            hi = mid
+    candidate = ((lo + hi) / 2).limit_denominator(max_denominator)
+    if not (lo <= candidate <= hi and holds(sign * candidate)):
+        return report(lo, True, False, "refined")
+    probe = (candidate + hi) / 2
+    if holds(sign * probe):
+        return report(probe, True, False, "refined")
+    return report(candidate, True, True, "refined")
 
 DENOMINATORS = (8, 9, 10, 12, 15, 16, 20, 24, 30, 32, 40, 60)
 

@@ -10,7 +10,9 @@ import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import ceil, floor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,7 +43,7 @@ from quadorder.cli import (
     main,
     run_threshold,
 )
-from helpers import FullStdout, simplest_between
+from helpers import FullStdout, reference_threshold, simplest_between
 from test_golden import CORPUS
 
 
@@ -207,7 +209,7 @@ def test_check_bad_inputs_exit_2(capsys):
         # 5 * 10**8 + 1 grid points
         ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000"],
         ["threshold", "--family", "bp1", "--sweep", "x=0:1/2:1/1000000000"],
-        # the bisection's decide count grows with the digits of the limit
+        # an irrational boundary costs decides in proportion to the digits of the limit
         [
             "threshold", "--family", "twoVsThree", "--sweep", "alpha=11/20:19/20:1/20",
             "--max-denominator", str(10**31),
@@ -543,9 +545,11 @@ def test_threshold_decide_count(monkeypatch):
         FAMILIES["twoVsThree"], "alpha=11/20:19/20:1/20", ["b1=1/3", "b2=1/3", "b3=1/3"]
     )
     assert run_threshold(spec)["threshold"] == "5/6"
-    # 9 grid points, 37 halvings of a 1/20 bracket down to 1/(2 * 10**12),
-    # the candidate, and one confirming probe.
-    assert len(calls) == 48
+    # 9 grid points; the top of 4/5's bisection cell (it holds); 5/6, the
+    # search's first probe inside the bracket; the top of 5/6's cell (it
+    # fails, so the bounds settle all 37 halvings and the candidate 5/6);
+    # and one confirming probe.
+    assert len(calls) == 13
     calls.clear()
     spec = _make_scan_spec(FAMILIES["endpoint4"], "a=1/40:19/40:1/40", ["alpha=4/5"])
     result = run_threshold(spec, max_denominator=3)
@@ -605,6 +609,95 @@ def test_threshold_candidate_and_probe_below_the_boundary_is_not_refused():
     # as a holds-region that is not monotone (exit 2).
     result = _irrational_threshold(10**4)
     assert (result["attained"], result["exact"], result["basis"]) == (True, False, "refined")
+
+
+THRESHOLD_LIMITS = (1, 2, 3, 5, 50, 10**3, 10**6, 10**12, 10**30)
+
+
+def _inside(rng, param):
+    """A rational strictly inside param's range, denominator at most 60."""
+    den = rng.randint(3, 60)
+    return F(rng.randint(floor(param.lo * den) + 1, ceil(param.hi * den) - 1), den)
+
+
+def _seeded_sweeps(rng):
+    """One sweep per named family and parameter with a fail direction: a
+    seeded grid step and margins, the other parameters drawn inside their
+    ranges (b1 = b3 and b2 = 1 - 2 b1 for twoVsThree)."""
+    for family in FAMILIES.values():
+        for name, param in family.params.items():
+            if param.fail_toward is None:
+                continue
+            step = F(1, rng.choice([10, 20, 30, 40]))
+            start = param.lo + step * rng.randint(0 if param.lo_closed else 1, 2)
+            stop = param.hi - step * rng.randint(0 if param.hi_closed else 1, 2)
+            fixed = [f"{other}={_inside(rng, p)}" for other, p in family.params.items()
+                     if other != name and not other.startswith("b")]
+            if "b1" in family.params:
+                b = F(rng.randint(1, 9), 20)
+                fixed += [f"b1={b}", f"b2={1 - 2 * b}", f"b3={b}"]
+            yield _make_scan_spec(family, f"{name}={start}:{stop}:{step}", fixed)
+
+
+def _outcome(search, spec, max_denominator):
+    try:
+        return search(spec, max_denominator)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_threshold_matches_the_plain_bisection():
+    # Wherever the holds-set inside the grid bracket is an interval, the
+    # search answers what halving the whole bracket answers, byte for byte.
+    rng = random.Random(2323)
+    specs = [*_seeded_sweeps(rng), *_seeded_sweeps(rng),
+             _make_scan_spec(FAMILIES["endpoint4"], "a=1/100:3/100:1/100", ["alpha=4/5"]),
+             _make_scan_spec(IRRATIONAL, "p=0:1:1/20", [])]
+    for spec in specs:
+        for max_denominator in THRESHOLD_LIMITS:
+            want = _outcome(reference_threshold, spec, max_denominator)
+            assert _outcome(run_threshold, spec, max_denominator) == want, (spec, max_denominator)
+
+
+# One atom at p against one at 1/2: the pair only carries p to a stand-in
+# decide, which scatters the holds-set over the grid cell (3/10, 2/5).
+POINT = Family(
+    name="point",
+    lhs={"atoms": [{"t": "p", "w": "1"}]},
+    rhs={"atoms": [{"t": "1/2", "w": "1"}]},
+    params={"p": Param(F(1, 2), F(0), F(1), lo_closed=True, hi_closed=True)},
+)
+
+
+@pytest.mark.parametrize("chance", [0.2, 0.5, 0.8])
+def test_threshold_reports_only_decided_values_off_an_interval(monkeypatch, chance):
+    # Inside one grid cell the holds-set is not an interval, so the bounds
+    # answer some probes wrongly.  Every value the report names must still
+    # have been decided: a refined threshold held, and the confirming probe
+    # of an exact one, halfway to the top of its final cell, failed.
+    lo, hi = F(3, 10), F(2, 5)
+    decided = {}
+
+    def scattered(a, b):
+        p = a.atoms[0].position
+        inside = lo < p < hi and random.Random(f"{seed} {p}").random() < chance
+        decided[p] = p <= lo or inside
+        return SimpleNamespace(holds=decided[p])
+
+    monkeypatch.setattr(cli, "decide", scattered)
+    spec = _make_scan_spec(POINT, "p=0:1:1/10", [])
+    for seed in range(8):
+        for max_denominator in (2, 3, 5, 10, 10**3, 10**6):
+            decided.clear()
+            result = run_threshold(spec, max_denominator)
+            threshold = F(result["threshold"])
+            assert (result["basis"], decided.get(threshold)) == ("refined", True), result
+            if result["exact"]:
+                cell = hi - lo
+                while cell > F(1, 2 * max_denominator**2):
+                    cell /= 2
+                top = lo + ((threshold - lo) // cell + 1) * cell
+                assert decided.get((threshold + top) / 2) is False, result
 
 
 # ---------------------------------------------------------------------------

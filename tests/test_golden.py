@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import quadorder
+from quadorder import cli
 from quadorder.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
@@ -45,6 +46,20 @@ def test_cli_output_bytes_match_the_corpus(case):
     code, stdout = _run(case["argv"])
     assert code == case["exit"]
     assert stdout.encode("utf-8") == case["stdout"].encode("utf-8")
+
+
+def test_threshold_entries_take_the_pinned_decides(monkeypatch):
+    # Every threshold entry of the corpus, replayed under a counting decide.
+    # A plain bisection of each grid bracket down to 1/(2 D^2) took 704; the
+    # search and one probe at the top of each new holding point's bisection
+    # cell leave the bounds to settle most halvings.
+    calls = []
+    decide = cli.decide
+    monkeypatch.setattr(cli, "decide", lambda a, b: calls.append(1) or decide(a, b))
+    for case in _load():
+        if case["argv"][0] == "threshold":
+            _run(case["argv"])
+    assert len(calls) == 218
 
 
 def test_module_entry_point_prints_the_corpus_bytes():
