@@ -525,7 +525,7 @@ def run_threshold(
     def probe(u: Fraction) -> bool:
         if not known[0] < u < known[1]:
             return u <= known[0]
-        verdict = holds(u if sign > 0 else -u)
+        verdict = holds(sign * u)
         known[not verdict] = u
         return verdict
 
@@ -548,7 +548,8 @@ def run_threshold(
     shift = floor(lo)
 
     # The largest k >= 0 whose point (n + k dn) / (m + k dm) answers want,
-    # its denominator within the limit.
+    # its denominator within the limit (toward 1/0, k at most ceil(hi) - shift,
+    # past which every point fails).
     def run(n: int, m: int, dn: int, dm: int, want: bool) -> int:
         limit = (max_denominator - m) // dm if dm else ceil(hi) - shift
         test = lambda k: probe(Fraction(shift * (m + k * dm) + n + k * dn, m + k * dm)) == want

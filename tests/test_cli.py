@@ -32,6 +32,7 @@ from quadorder import (
 )
 from quadorder.cli import (
     FAMILIES,
+    CLIError,
     MAX_GRID_POINTS,
     Family,
     NonMonotoneRegion,
@@ -642,7 +643,7 @@ def _seeded_sweeps(rng):
 def _outcome(search, spec, max_denominator):
     try:
         return search(spec, max_denominator)
-    except Exception as exc:
+    except CLIError as exc:
         return type(exc), str(exc)
 
 
