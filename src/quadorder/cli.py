@@ -853,8 +853,11 @@ def _load_functional(
 
 
 # A failed write, to out_path or to stdout, is an error (exit 2), never a
-# traceback; stdout is flushed so that its error is raised here.
+# traceback; stdout is flushed so that its error is raised here.  With fd 1
+# closed at start-up, sys.stdout is None and print would write nothing.
 def _emit(text: str, out_path: Optional[str]) -> None:
+    if not out_path and sys.stdout is None:
+        raise CLIError("cannot write stdout: it is closed")
     try:
         if not out_path:
             print(text, end="", flush=True)
@@ -929,13 +932,18 @@ def _cmd_agree(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse drops a failed write of its help, so help to a full device
-    would exit 0 having printed nothing: help for stdout goes through _emit."""
+    would exit 0 having printed nothing: help for stdout goes through _emit.
+    A refused command line is a CLIError, so main reports it on one line
+    rather than argparse's usage block."""
 
     def print_help(self, file=None) -> None:
         if file is None:
             _emit(self.format_help(), None)
         else:
             super().print_help(file)
+
+    def error(self, message: str):
+        raise CLIError(message)
 
 
 # Built once per process: parse_args leaves the parser as it is, and

@@ -13,9 +13,9 @@ heuristic.
 All arithmetic runs on plain ints, with its own code: positions are
 scaled to one common denominator T, weights to one W, and each side
 becomes a suffix table of mass and first moment.  oracle_decide(a, b)
-builds the tables once, generates the refined grid from them as int
-pairs (x, m), the points s = x / (m T), and scores them in one walk; a
-gap is a numerator over 2 m^2 W T^2, and only the answer is a Fraction.
+builds the tables once and scores each point of the refined grid in the
+walk that generates it; a gap is a numerator over 2 m^2 W T^2, and only
+the answer is a Fraction.  evaluate(func, s) scores any other hinge.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional
+from typing import Optional
 
-from .functionals import Functional, as_fraction
+from .functionals import Functional
 
 __all__ = ["OracleReport", "oracle_decide", "refine_grid"]
 
@@ -84,81 +84,56 @@ def _tables(a: Functional, b: Functional) -> tuple:
     return t_scale, w_scale, table_a, table_b, du
 
 
-def _refined(t_scale: int, table_a: tuple, table_b: tuple, du: int) -> list[tuple[int, int]]:
-    """The refined grid as int pairs (x, m), each the point s = x / (m T),
-    strictly increasing.
+def _refined(t_scale: int, table_a: tuple, table_b: tuple, du: int) -> list[tuple]:
+    """The refined grid as (x, m, i, j), each the point s = x / (m T) and
+    the first rows i and j of the two tables above it, strictly increasing.
 
     Takes every breakpoint of F_A - F_B, the midpoint of every segment,
     and the exact vertex of the hinge-gap map on every segment where it
     has one.  The gap s -> A(h_s) - B(h_s) is piecewise quadratic with
     derivative F_A(s) - F_B(s) = (u_B - u_A)(1 - s) + M_B(s) - M_A(s),
     where M(s) is the atom mass strictly above s; its maximum over a
-    segment sits at an endpoint or at that vertex.
+    segment sits at an endpoint or at that vertex.  No atom lies inside a
+    segment, so its left end, midpoint and vertex share rows; s = 1 takes
+    the last rows, at T + 1.
     """
     (pos_a, mass_a, _), (pos_b, mass_b, _) = table_a, table_b
     points = sorted({0, t_scale, *pos_a[:-1], *pos_b[:-1]})
     grid = []
     i = j = 0
+    sign, den = (1, du) if du > 0 else (-1, -du)
     for left, right in zip(points, points[1:]):
-        grid.append((left, 1))
-        mid = (left + right, 2)
-        if not du:
-            grid.append(mid)
-            continue
         while pos_a[i] <= left:
             i += 1
         while pos_b[j] <= left:
             j += 1
-        # vertex = 1 + (M_A - M_B) / (u_A - u_B) = num / den, with den > 0
-        num, den = du + mass_a[i] - mass_b[j], du
-        if den < 0:
-            num, den = -num, -den
-        vertex, twice_mid = t_scale * num, (left + right) * den
+        grid.append((left, 1, i, j))
+        mid = (left + right, 2, i, j)
+        if not du:
+            grid.append(mid)
+            continue
+        # vertex = 1 + (M_A - M_B) / (u_A - u_B), over den = |u_A - u_B|
+        vertex = t_scale * (du + mass_a[i] - mass_b[j]) * sign
+        twice_mid = (left + right) * den
         if left * den < vertex < right * den and 2 * vertex != twice_mid:
-            grid += ((vertex, den), mid) if 2 * vertex < twice_mid else (mid, (vertex, den))
+            at = (vertex, den, i, j)
+            grid += (at, mid) if 2 * vertex < twice_mid else (mid, at)
         else:
             grid.append(mid)
-    grid.append((t_scale, 1))
+    grid.append((t_scale, 1, len(pos_a) - 1, len(pos_b) - 1))
     return grid
 
 
-def _sorted_grid(s_grid: Iterable[Fraction]) -> list[Fraction]:
-    """The grid as Fractions, strictly increasing; sorted and deduplicated
-    only when it is not so already."""
-    grid = [as_fraction(s) for s in s_grid]
-    if not grid:
-        raise ValueError("s_grid must be nonempty")
-    for x, y in zip(grid, grid[1:]):
-        if x.numerator * y.denominator >= y.numerator * x.denominator:
-            grid = sorted(set(grid))
-            break
-    if grid[0].numerator < 0 or grid[-1].numerator > grid[-1].denominator:
-        raise ValueError("s_grid values must lie in [0, 1]")
-    return grid
-
-
-def oracle_decide(
-    a: Functional, b: Functional, s_grid: Optional[Iterable[Fraction]] = None
-) -> OracleReport:
-    """Worst violation of A(f) <= B(f) over hinges on the grid plus the
-    linear maps t and -t (barycenter check).  The grid is optional: without
-    one the oracle decides on refine_grid(a, b), built here as int pairs."""
+def oracle_decide(a: Functional, b: Functional) -> OracleReport:
+    """Worst violation of A(f) <= B(f) over the hinges on refine_grid(a, b)
+    plus the linear maps t and -t (barycenter check)."""
     t_scale, w_scale, table_a, table_b, du = _tables(a, b)
-    if s_grid is None:
-        grid = _refined(t_scale, table_a, table_b, du)
-    else:
-        grid = [(s.numerator * t_scale, s.denominator) for s in _sorted_grid(s_grid)]
-    (pos_a, mass_a, mom_a), (pos_b, mass_b, mom_b) = table_a, table_b
+    grid = _refined(t_scale, table_a, table_b, du)
+    (_, mass_a, mom_a), (_, mass_b, mom_b) = table_a, table_b
     # the worst gap so far is best / (2 best_m2 W T^2)
     best, best_m2 = 0, 1
     worst = None
-    i = j = 0
-    for x, m in grid:
-        # hinges with positions <= s contribute nothing
-        while pos_a[i] * m <= x:
-            i += 1
-        while pos_b[j] * m <= x:
-            j += 1
+    for x, m, i, j in grid:
         mt = m * t_scale
         gap = 2 * mt * (m * (mom_a[i] - mom_b[j]) - x * (mass_a[i] - mass_b[j]))
         if du:
@@ -179,4 +154,4 @@ def refine_grid(a: Functional, b: Functional) -> list[Fraction]:
     """Finite grid guaranteed to expose a violating hinge if one exists:
     the Fraction view of the one oracle_decide(a, b) walks (see _refined)."""
     t_scale, _, table_a, table_b, du = _tables(a, b)
-    return [Fraction(x, m * t_scale) for x, m in _refined(t_scale, table_a, table_b, du)]
+    return [Fraction(x, m * t_scale) for x, m, _, _ in _refined(t_scale, table_a, table_b, du)]

@@ -115,8 +115,8 @@ class DiffFunction:
     most unequal barycenters (every |G(1)| >= 2^-64) with no walk at all.
     Below the cut neither pays: the walks divide W as they go, and the
     short walk costs little more than the sum would.  Fractions are built
-    only for what is returned; points, breakpoints and cumulative (G(b_i)
-    at every breakpoint) when read.
+    only for what is returned; breakpoints and cumulative (G(b_i) at
+    every breakpoint) when read.
     """
 
     t_scale: int
@@ -153,14 +153,6 @@ class DiffFunction:
         return {den: w_scale // den for den in set(map(itemgetter(1), self.jumps))}
 
     @property
-    def points(self) -> tuple[int, ...]:
-        """Each breakpoint over T, p_i = b_i T."""
-        if self.short_points is not None:
-            return self.short_points
-        t_scale = self.t_scale
-        return tuple(tn * (t_scale // td) for tn, td in self.positions)
-
-    @property
     def breakpoints(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(*pair) for pair in self.positions)
 
@@ -168,7 +160,9 @@ class DiffFunction:
     def cumulative(self) -> tuple[Fraction, ...]:
         # G(b_i) from g = W T sum_j w_j (b_i - t_j) over the atoms at or
         # before b_i, the part the slope does not add, grown piece by piece
-        w_scale, scale, points = self.w_scale, self._g_scale(), self.points
+        w_scale, scale, points = self.w_scale, self._g_scale(), self.short_points
+        if points is None:
+            points = [tn * (self.t_scale // td) for tn, td in self.positions]
         masses = accumulate(num * (w_scale // den) for num, den in self.jumps)
         steps = ((right - left) * mass for right, left, mass in zip(points[1:], points, masses))
         gs = accumulate(steps, initial=0)

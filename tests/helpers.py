@@ -63,11 +63,16 @@ def d_slope(d: DiffFunction) -> Fraction:
     return Fraction(d.slope_w, d.w_scale)
 
 
+def d_points(d: DiffFunction) -> tuple[int, ...]:
+    """Each breakpoint over T, p_i = b_i T."""
+    return tuple(tn * (d.t_scale // td) for tn, td in d.positions)
+
+
 def d_values(d: DiffFunction) -> tuple[Fraction, ...]:
     """D(b_i), the right limit at each breakpoint, from the int fields on
     Fractions: the jumps summed up to b_i, plus slope * b_i."""
     slope, mass, values = d_slope(d), ZERO, []
-    for p, jump in zip(d.points, d.jumps):
+    for p, jump in zip(d_points(d), d.jumps):
         mass += Fraction(*jump)
         values.append(mass + slope * Fraction(p, d.t_scale))
     return tuple(values)
@@ -136,10 +141,6 @@ def reference_oracle_decide(
         return positions, mass, moment
 
     grid = sorted({as_fraction(s) for s in s_grid})
-    if not grid:
-        raise ValueError("s_grid must be nonempty")
-    if grid[0] < 0 or grid[-1] > 1:
-        raise ValueError("s_grid values must lie in [0, 1]")
     pos_a, mass_a, mom_a = hinge_table(a)
     pos_b, mass_b, mom_b = hinge_table(b)
     du = a.uniform_weight - b.uniform_weight

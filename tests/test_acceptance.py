@@ -29,7 +29,6 @@ from quadorder import (
     functional_pair,
     make_functional,
     oracle_decide,
-    refine_grid,
     verify_witness,
 )
 from quadorder.cli import main, run_agreement
@@ -138,7 +137,7 @@ def test_criterion_6_path_agreement():
         a, b = equal_mean_pair(rng)
         pairs += 1
         cumulative = decide(a, b)
-        report_ab = oracle_decide(a, b, refine_grid(a, b))
+        report_ab = oracle_decide(a, b)
         oracle_clean = report_ab.max_violation == 0
         if cumulative.outcome == EQUAL:
             if not oracle_clean:

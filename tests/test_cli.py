@@ -860,8 +860,10 @@ def test_corpus_sweeps_build_what_their_labels_name():
     # record is valid builds that record's functional pair.
     checked = 0
     for case in json.loads(CORPUS.read_text(encoding="utf-8")):
+        if case["exit"] != 0:
+            continue
         args = cli.build_parser().parse_args(case["argv"])
-        if case["exit"] != 0 or getattr(args, "family", None) not in FAMILIES:
+        if getattr(args, "family", None) not in FAMILIES:
             continue
         family = FAMILIES[args.family]
         spec = _make_scan_spec(family, args.sweep, args.fix)
@@ -1000,10 +1002,7 @@ def test_the_one_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch
     env = {**os.environ, "PYTHONPATH": path}
     codes = []
     for argv in argvs:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         fresh = subprocess.run(
             [sys.executable, "-m", "quadorder.cli", *argv], capture_output=True, env=env, timeout=60

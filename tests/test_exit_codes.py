@@ -12,11 +12,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import quadorder
 from quadorder import FAILS, HingeWitness, LinearWitness, Verdict, verify_witness
 from quadorder.cli import FAMILIES, THEOREM_IDS, _load_functional, eval_rational_expr, main
 from helpers import FullStdout
@@ -197,7 +202,7 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse refuses the command line
+        except SystemExit as exc:  # argparse has printed help
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -233,7 +238,9 @@ def test_every_invocation_ends_in_a_documented_exit_code(argv):
     assert code in (0, 1, 2), (code, stderr)
     assert "Traceback" not in stderr
     if code == 2:
-        assert stdout == "" and "error:" in stderr
+        # bad input, the command line included: one error line, no usage block
+        lines = stderr.splitlines()
+        assert stdout == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
     if code == 1:
         assert argv[0] == "check" and witness_verifies(argv, stdout)
 
@@ -248,3 +255,29 @@ def test_help_to_an_unwritable_stdout_is_a_one_line_error(argv, failing):
     with contextlib.redirect_stdout(FullStdout(failing)), contextlib.redirect_stderr(err):
         code = main(argv)
     assert (code, err.getvalue()) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+CLOSED = "error: cannot write stdout: it is closed\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "midpoint", "uniform"], ["--help"]])
+def test_a_closed_stdout_is_a_one_line_error(argv):
+    # with fd 1 closed at start-up sys.stdout is None, and print writes
+    # nothing: exit 0 would read as shown
+    err = io.StringIO()
+    with contextlib.redirect_stdout(None), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (2, CLOSED)
+
+
+def test_a_command_started_with_fd_1_closed_exits_2():
+    src = Path(quadorder.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "quadorder.cli", "check", "midpoint", "uniform"],
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (done.returncode, done.stderr) == (2, CLOSED.encode())

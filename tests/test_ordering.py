@@ -605,7 +605,6 @@ def test_past_the_cut_the_walks_scale_no_breakpoint_to_t(monkeypatch):
     def scaled(*args):
         raise AssertionError("a breakpoint over T was read")
 
-    monkeypatch.setattr(ordering.DiffFunction, "points", property(scaled))
     monkeypatch.setattr(ordering.DiffFunction, "cumulative", property(scaled))
     rng = random.Random(16)
     pairs = CUT_PAIRS + pair_family(rng, "coprime", 2) + pair_family(rng, "coprime-spread", 4)

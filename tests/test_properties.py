@@ -41,7 +41,7 @@ def test_paths_agree_on_equal_mean_pairs():
             continue
         lemma = decide_lemma(a, b)
         assert lemma.outcome == cumulative.outcome
-        report = oracle_decide(a, b, refine_grid(a, b))
+        report = oracle_decide(a, b)
         assert (report.max_violation == 0) == cumulative.holds
     assert degenerate < 100  # the generator produces mostly distinct pairs
 
