@@ -219,6 +219,7 @@ class Family:
     parameters: its rules build the pair, unvalidated, and a scan reports
     its case label where it is valid.  A custom family has no record;
     lhs and rhs are functional templates in the --lhs/--rhs syntax.
+    build is the only place that tells the two kinds apart.
     params is ordered and gives the scan columns; each Param holds the
     parameter's default, valid range and fail direction, the last used
     only to report a range cap when every grid point holds.
@@ -230,21 +231,18 @@ class Family:
     lhs: object = None
     rhs: object = None
 
-    def _record_at(self, params: dict[str, Fraction]) -> Optional[dict]:
-        """The record's fields evaluated at params; None for a custom family."""
-        if self.record is None:
-            return None
-        return {
-            key: text if key == "family" else eval_rational_expr(text, params)
-            for key, text in self.record.items()
-        }
-
-    def build(self, params: dict[str, Fraction]) -> tuple[Functional, Functional]:
+    def build(self, params: dict[str, Fraction]) -> tuple[Functional, Functional, Optional[dict]]:
+        """The pair at params, and the record's fields evaluated there
+        (None for a custom family), each field evaluated once."""
         if self.record is not None:
-            return record_pair(self._record_at(params))
+            record = {
+                key: text if key == "family" else eval_rational_expr(text, params)
+                for key, text in self.record.items()
+            }
+            return (*record_pair(record), record)
         # a scalar that is not a string is read as check reads it (floats refused)
         scalar = lambda _, v: eval_rational_expr(v, params) if type(v) is str else as_fraction(v)
-        return functional_from_json(self.lhs, scalar), functional_from_json(self.rhs, scalar)
+        return functional_from_json(self.lhs, scalar), functional_from_json(self.rhs, scalar), None
 
 
 FAMILIES: dict[str, Family] = {
@@ -326,13 +324,10 @@ class ScanSpec:
     step: Fraction
     fixed: dict[str, Fraction]
 
-    def grid(self) -> tuple[Fraction, ...]:
-        """The sweep values, built on the first call and kept; a tuple, so
-        that no caller changes what the next one reads."""
-        return self._grid
-
     @cached_property
-    def _grid(self) -> tuple[Fraction, ...]:
+    def grid(self) -> tuple[Fraction, ...]:
+        """The sweep values, built on the first read and kept; a tuple, so
+        that no caller changes what the next one reads."""
         count = (self.stop - self.start) // self.step + 1
         if count > MAX_GRID_POINTS:
             raise CLIError(
@@ -363,13 +358,15 @@ def _make_scan_spec(
         if "=" not in fix:
             raise CLIError("--fix must look like name=value")
         key, _, value_text = fix.partition("=")
+        if key.strip() == name:
+            raise CLIError(f"--fix cannot set {name}: it is the swept parameter")
         fixed[key.strip()] = eval_rational_expr(value_text)
     fixed.pop(name, None)
     spec = ScanSpec(family, name, start, stop, step, fixed)
     if family.params:
         # every parameter at the first grid point, then the swept one alone:
         # the first bad value raises, as it would point by point
-        grid = spec.grid()
+        grid = spec.grid
         _validate_family_params(family, spec.params_at(grid[0]))
         for value in grid[1:]:
             _validate_family_params(family, {name: value})
@@ -447,11 +444,10 @@ def run_threshold(
         raise CLIError(f"--max-denominator must be at least 1, got {max_denominator}")
     if max_denominator > MAX_DENOMINATOR:
         raise CLIError(f"--max-denominator must be at most {MAX_DENOMINATOR}")
-    family = spec.family
-    grid = spec.grid()
+    family, grid = spec.family, spec.grid
 
     def holds(v: Fraction) -> bool:
-        a, b = family.build(spec.params_at(v))
+        a, b, _ = family.build(spec.params_at(v))
         return decide(a, b).holds
 
     flags = [holds(v) for v in grid]
@@ -616,11 +612,9 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
     columns = list(family.params) or [spec.sweep, *sorted(spec.fixed)]
     header = columns + ["holds", "case", "witness_s"]
     rows = []
-    for value in spec.grid():
+    for value in spec.grid:
         params = spec.params_at(value)
-        # the record is evaluated once, for both the pair and the label
-        record = family._record_at(params)
-        a, b = family.build(params) if record is None else record_pair(record)
+        a, b, record = family.build(params)
         verdict = decide(a, b)
         check = _case_label(record)
         witness_s = ""
@@ -899,8 +893,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     family = _resolve_family(args)
-    if family.name == "custom":
-        raise CLIError("threshold needs a named family with declared ranges")
     spec = _make_scan_spec(family, args.sweep, args.fix)
     result = run_threshold(spec, max_denominator=args.max_denominator)
     _emit(json.dumps(result) + "\n", args.out)
@@ -932,15 +924,12 @@ def _cmd_agree(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse drops a failed write of its help, so help to a full device
-    would exit 0 having printed nothing: help for stdout goes through _emit.
+    would exit 0 having printed nothing: help goes through _emit.
     A refused command line is a CLIError, so main reports it on one line
     rather than argparse's usage block."""
 
     def print_help(self, file=None) -> None:
-        if file is None:
-            _emit(self.format_help(), None)
-        else:
-            super().print_help(file)
+        _emit(self.format_help(), None)
 
     def error(self, message: str):
         raise CLIError(message)
@@ -1019,6 +1008,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # argparse exits once it has printed help
+        return exc.code
     except (CLIError, FunctionalError, ParamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -397,10 +397,10 @@ def reference_threshold(spec: ScanSpec, max_denominator: int = 10**6) -> dict:
         raise CLIError(f"--max-denominator must be at least 1, got {max_denominator}")
     if max_denominator > MAX_DENOMINATOR:
         raise CLIError(f"--max-denominator must be at most {MAX_DENOMINATOR}")
-    family, grid = spec.family, spec.grid()
+    family, grid = spec.family, spec.grid
 
     def holds(v: Fraction) -> bool:
-        return decide(*family.build(spec.params_at(v))).holds
+        return decide(*family.build(spec.params_at(v))[:2]).holds
 
     flags = [holds(v) for v in grid]
     switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]

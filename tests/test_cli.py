@@ -353,7 +353,7 @@ def test_oversized_grid_is_refused_before_it_is_built(capsys, monkeypatch):
         f"error: sweep grid has 500000001 points, more than the limit of {MAX_GRID_POINTS}\n"
     )
     spec = ScanSpec(None, "x", F(0), F(1), F(1, MAX_GRID_POINTS - 1), {})
-    assert len(spec.grid()) == MAX_GRID_POINTS
+    assert len(spec.grid) == MAX_GRID_POINTS
 
 
 def test_internal_disagreement_exits_3(capsys, monkeypatch):
@@ -517,13 +517,21 @@ def test_sweep_names_its_first_bad_value(capsys, command):
     )
     assert code == 2 and out == ""
     assert err == "error: alpha = 2 outside the valid range (1/2, 1) for family symmetric3\n"
+    # an open lower bound refuses the bound itself
+    code, out, err = run(capsys, command, "--family", "symmetric3", "--sweep", "a=0:1/4:1/8")
+    assert code == 2 and out == ""
+    assert err == "error: a = 0 outside the valid range (0, 1/2) for family symmetric3\n"
+    # a --fix of the swept parameter is refused, not dropped
+    code, out, err = run(capsys, command, "--family", "bp1", "--sweep", "x=0:1/2:1/4", "--fix", "x=7")
+    assert code == 2 and out == ""
+    assert err == "error: --fix cannot set x: it is the swept parameter\n"
 
 
 def test_sweep_grid_is_built_once_and_read_only():
     spec = _make_scan_spec(FAMILIES["bp1"], "x=0:1/2:1/8", [])
-    grid = spec.grid()
+    grid = spec.grid
     assert grid == (F(0), F(1, 8), F(1, 4), F(3, 8), F(1, 2))
-    assert spec.grid() is grid and isinstance(grid, tuple)
+    assert spec.grid is grid and isinstance(grid, tuple)
 
 
 def test_threshold_range_cap_attained_at_a_closed_bound():
@@ -592,7 +600,7 @@ def _irrational_threshold(max_denominator):
     result = run_threshold(_make_scan_spec(IRRATIONAL, "p=0:1:1/20", []), max_denominator)
     p = F(result["threshold"])
     assert abs(p - F("0.34449699762")) < F(1, 10**7)
-    assert decide(*IRRATIONAL.build({"p": p})).holds
+    assert decide(*IRRATIONAL.build({"p": p})[:2]).holds
     return result
 
 
@@ -647,13 +655,24 @@ def _outcome(search, spec, max_denominator):
         return type(exc), str(exc)
 
 
+# (f(p) + f(1-p))/2 against the integral mean: holds exactly for p >= 1/4.
+TWO_POINT = Family(
+    name="custom",
+    lhs={"atoms": [{"t": "p", "w": "1/2"}, {"t": "1-p", "w": "1/2"}]},
+    rhs={"atoms": [], "uniform": "1"},
+)
+
+
 def test_threshold_matches_the_plain_bisection():
     # Wherever the holds-set inside the grid bracket is an interval, the
     # search answers what halving the whole bracket answers, byte for byte.
+    # The last custom grid holds nowhere, so both raise the same error.
     rng = random.Random(2323)
     specs = [*_seeded_sweeps(rng), *_seeded_sweeps(rng),
              _make_scan_spec(FAMILIES["endpoint4"], "a=1/100:3/100:1/100", ["alpha=4/5"]),
-             _make_scan_spec(IRRATIONAL, "p=0:1:1/20", [])]
+             _make_scan_spec(IRRATIONAL, "p=0:1:1/20", []),
+             *(_make_scan_spec(TWO_POINT, sweep, [])
+               for sweep in ("p=1/10:1/2:1/10", "p=0:1/2:1/20", "p=1/10:1/5:1/20"))]
     for spec in specs:
         for max_denominator in THRESHOLD_LIMITS:
             want = _outcome(reference_threshold, spec, max_denominator)
@@ -852,7 +871,7 @@ def test_family_templates_match_the_theorem_records(name):
     for _ in range(50):
         params = _random_params(name, rng)
         record = _label_record(family, params)
-        assert family.build(params) == functional_pair(params_from_json(record))
+        assert family.build(params) == (*functional_pair(params_from_json(record)), record)
 
 
 def test_corpus_sweeps_build_what_their_labels_name():
@@ -867,13 +886,13 @@ def test_corpus_sweeps_build_what_their_labels_name():
             continue
         family = FAMILIES[args.family]
         spec = _make_scan_spec(family, args.sweep, args.fix)
-        for value in spec.grid():
+        for value in spec.grid:
             params = spec.params_at(value)
             try:
                 theorem_params = params_from_json(_label_record(family, params))
             except ParamError:
                 continue
-            assert family.build(params) == functional_pair(theorem_params)
+            assert family.build(params)[:2] == functional_pair(theorem_params)
             checked += 1
     assert checked >= 73  # the scan entries alone give 73
 
@@ -884,21 +903,22 @@ def test_bp1_endpoints_build_their_degenerate_pairs_and_get_no_case_label():
     trapezoid = make_functional([(0, F(1, 2)), (1, F(1, 2))])
     simpson_like = make_functional([(0, F(1, 4)), (F(1, 2), F(1, 2)), (1, F(1, 4))])
     for x, rhs in ((F(0), trapezoid), (F(1, 2), simpson_like)):
-        assert bp1.build({"x": x}) == (UNIFORM, rhs)
-        assert _case_label(bp1._record_at({"x": x})) is None
-    assert _case_label(bp1._record_at({"x": F(1, 4)})).case is not None
+        a, b, record = bp1.build({"x": x})
+        assert (a, b) == (UNIFORM, rhs)
+        assert _case_label(record) is None
+    assert _case_label(bp1.build({"x": F(1, 4)})[2]).case is not None
 
 
 def test_scan_evaluates_each_row_record_once(monkeypatch):
-    # one evaluation gives both the pair and the case label
+    # one build gives both the pair and the record for the case label
     calls = []
-    record_at = Family._record_at
+    build = Family.build
 
     def counted(self, params):
         calls.append(params)
-        return record_at(self, params)
+        return build(self, params)
 
-    monkeypatch.setattr(Family, "_record_at", counted)
+    monkeypatch.setattr(Family, "build", counted)
     _, rows = cli.run_scan(_make_scan_spec(FAMILIES["bp1"], "x=0:1/2:1/8", []))
     assert len(calls) == len(rows) == 5
     assert [row[2] for row in rows] == ["", "iii", "iii", "viii", ""]
