@@ -164,6 +164,23 @@ def test_integer_oracle_matches_the_fraction_reference(family):
         assert got.tested_functions == want.tested_functions
 
 
+def _report(report) -> tuple:
+    return report.tested_functions, report.max_violation, report.worst_s
+
+
+@pytest.mark.parametrize(
+    "family", ["random", "equal-mean", "uniform-only", "endpoint-atoms", *sorted(_SAMPLERS)]
+)
+def test_one_pass_oracle_matches_the_explicit_grid_and_the_reference(family):
+    # the oracle decides on refine_grid's points, built as ints; the report
+    # is the one the Fraction reference gives on that explicit grid
+    rng = random.Random(f"one-pass-{family}")
+    for a, b in pair_family(rng, family, 150):
+        want = _report(reference_oracle_decide(a, b, reference_refine_grid(a, b)))
+        assert _report(oracle_decide(a, b)) == want
+        assert _report(reference_oracle_decide(a, b, refine_grid(a, b))) == want
+
+
 def test_one_pass_oracle_builds_each_table_once_and_no_fraction_grid(monkeypatch):
     tables, fractions = [], []
     hinge_table, fraction = quadorder.oracle._hinge_table, quadorder.oracle.Fraction
