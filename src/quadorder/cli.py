@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import ceil, floor
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .functionals import (
     Functional,
@@ -51,11 +51,9 @@ from .ordering import (
 )
 from .theorems import (
     CaseCheck,
-    FourNodeUpperParams,
     ParamError,
     TheoremParams,
-    ThreeNodeLowerParams,
-    TwoVsThreeParams,
+    _SAMPLERS,
     check_params,
     functional_pair,
     params_from_json,
@@ -633,114 +631,6 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
 # ---------------------------------------------------------------------------
 # Agreement fuzzing: case checkers vs. decider vs. oracle
 # ---------------------------------------------------------------------------
-
-# Each is at least 8, so (0, 1/2), (1/2, 1) and (0, 1) hold a lattice
-# point for every one: a draw from those fixed intervals is never None.
-_DENOMINATORS = (8, 9, 10, 12, 16, 18, 20, 24, 30, 32, 40, 48, 60)
-
-
-def _rand_pair(rng: random.Random, lo: tuple, hi: tuple) -> Optional[tuple[int, int]]:
-    """A random k/den strictly inside (lo, hi) as the pair (k, den), or
-    None if the drawn denominator has no lattice point there.  Bounds are
-    int pairs (numerator, denominator > 0), not necessarily reduced."""
-    den = rng.choice(_DENOMINATORS)
-    # floor/ceil of lo*den and hi*den in integer arithmetic
-    kmin = lo[0] * den // lo[1] + 1
-    kmax = -((-hi[0] * den) // hi[1]) - 1
-    if kmin > kmax:
-        return None
-    return rng.randint(kmin, kmax), den
-
-
-def _smaller(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return y if y[0] * x[1] < x[0] * y[1] else x
-
-
-# The samplers solve and range-check on int pairs, each side of a test
-# over one positive denominator; only an accepted tuple becomes Fractions.
-
-
-def _sample_three_node_lower(rng: random.Random) -> ThreeNodeLowerParams:
-    # The barycenter condition needs 1-alpha1 < 1/2 < 1-alpha3; with the
-    # alphas drawn, solving it with the mass constraint pins a2 and a3 in
-    # terms of a1, and a2 > 0 caps a1 below (1/2-alpha3)/(alpha1-alpha3).
-    while True:
-        k1, d1 = alpha1 = _rand_pair(rng, (1, 2), (1, 1))
-        k3, d3 = alpha3 = _rand_pair(rng, (0, 1), (1, 2))
-        alpha2 = _rand_pair(rng, alpha3, alpha1)
-        if alpha2 is None:
-            continue
-        cap = ((d3 - 2 * k3) * d1, 2 * (k1 * d3 - k3 * d1))  # (1/2-alpha3)/(alpha1-alpha3)
-        a1 = _rand_pair(rng, (0, 1), _smaller((1, 1), cap))
-        if a1 is None:
-            continue
-        (k2, d2), (n1, m1) = alpha2, a1
-        # a2 = (1/2 - a1(1-alpha1) - (1-a1)(1-alpha3)) / (alpha3-alpha2)
-        # and a3 = 1 - a1 - a2, both over one denominator
-        scale = 2 * m1 * d1 * (k2 * d3 - k3 * d2)
-        a2 = d2 * (2 * n1 * (d1 - k1) * d3 + 2 * (m1 - n1) * (d3 - k3) * d1 - m1 * d1 * d3)
-        a3 = (m1 - n1) * (scale // m1) - a2
-        if 0 < a2 < scale and 0 < a3 < scale:
-            fields = map(Fraction, (n1, a2, a3, k1, k2, k3), (m1, scale, scale, d1, d2, d3))
-            return ThreeNodeLowerParams(*fields)
-
-
-def _sample_four_node_upper(rng: random.Random) -> FourNodeUpperParams:
-    # a3 = (1/2 - a1 - a2*alpha2)/alpha3 must be positive, which caps a1
-    # below 1/2 and a2 below (1/2 - a1)/alpha2.
-    while True:
-        k2, d2 = alpha2 = _rand_pair(rng, (0, 1), (1, 1))
-        alpha3 = _rand_pair(rng, (0, 1), alpha2)
-        n1, m1 = _rand_pair(rng, (0, 1), (1, 2))
-        if alpha3 is None:
-            continue
-        a2 = _rand_pair(rng, (0, 1), _smaller((m1 - n1, m1), ((m1 - 2 * n1) * d2, 2 * m1 * k2)))
-        if a2 is None:
-            continue
-        (k3, d3), (n2, m2) = alpha3, a2
-        # a3 and a4 = 1 - a1 - a2 - a3 over one denominator
-        scale = 2 * m1 * m2 * d2 * k3
-        a3 = (m1 * m2 * d2 - 2 * n1 * m2 * d2 - 2 * n2 * k2 * m1) * d3
-        a4 = scale - 2 * d2 * k3 * (n1 * m2 + n2 * m1) - a3
-        if 0 < a3 < scale and 0 < a4 < scale:
-            fields = map(Fraction, (n1, n2, a3, a4, k2, k3), (m1, m2, scale, scale, d2, d3))
-            return FourNodeUpperParams(*fields)
-
-
-def _sample_two_vs_three(rng: random.Random) -> TwoVsThreeParams:
-    # With the left side and beta drawn, the shared barycenter M pins
-    # b3 = M - b2*(1-beta); b3 > 0 and b1 > 0 together cap b2 below
-    # min(M/(1-beta), (1-M)/beta).
-    while True:
-        k1, d1 = alpha1 = _rand_pair(rng, (0, 1), (1, 1))
-        alpha2 = _rand_pair(rng, (0, 1), alpha1)
-        kb, db = _rand_pair(rng, (0, 1), (1, 1))
-        na, ma = _rand_pair(rng, (0, 1), (1, 1))
-        if alpha2 is None:
-            continue
-        k2, d2 = alpha2
-        # M = mean / scale
-        scale = ma * d1 * d2
-        mean = na * (d1 - k1) * d2 + (ma - na) * (d2 - k2) * d1
-        cap = _smaller((mean * db, scale * (db - kb)), ((scale - mean) * db, scale * kb))
-        b2 = _rand_pair(rng, (0, 1), _smaller((1, 1), cap))
-        if b2 is None:
-            continue
-        n2, m2 = b2
-        # b3 and b1 = 1 - b2 - b3 over one denominator
-        b3 = mean * m2 * db - n2 * (db - kb) * scale
-        scale *= m2 * db
-        b1 = scale - b3 - n2 * (scale // m2)
-        if 0 < b1 < scale and 0 < b3 < scale:
-            fields = (na, k1, k2, kb, b1, n2, b3), (ma, d1, d2, db, scale, m2, scale)
-            return TwoVsThreeParams(*map(Fraction, *fields))
-
-
-_SAMPLERS: dict[str, Callable[[random.Random], TheoremParams]] = {
-    "three-node-lower": _sample_three_node_lower,
-    "four-node-upper": _sample_four_node_upper,
-    "two-vs-three": _sample_two_vs_three,
-}
 
 THEOREM_IDS = tuple(_SAMPLERS)
 

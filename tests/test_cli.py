@@ -162,6 +162,8 @@ def test_check_bad_inputs_exit_2(capsys):
         ["check", "--interval", "0", "2", '{"atoms": [{"w": "1"}]}', "uniform"],
         ["check", "midpoint"],
         ["scan", "--family", "bp1", "--sweep", "x=0:1/2:1/4", "--fix", "x"],
+        ["scan", "--family", "nosuch", "--sweep", "x=0:1:1"],
+        ["threshold", "--family", "nosuch", "--sweep", "x=0:1:1"],
         [
             "scan", "--family", "custom",
             "--lhs", '{"atoms":[{"t":"p","w":"1"}]}',

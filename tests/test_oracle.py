@@ -12,6 +12,7 @@ import pytest
 import quadorder.functionals
 import quadorder.oracle
 import quadorder.ordering
+import quadorder.theorems
 from quadorder import (
     HingeWitness,
     MIDPOINT,
@@ -139,6 +140,13 @@ def test_oracle_imports_nothing_from_the_engine_it_checks():
 def test_engine_imports_nothing_from_the_oracle(module):
     imported = _imported_names(module)
     assert not [name for name in imported if "oracle" in name.split(".")]
+
+
+def test_case_checkers_import_nothing_from_the_routes_they_are_checked_against():
+    # the checkers and their samplers stay a third, independent route
+    imported = _imported_names(quadorder.theorems)
+    routes = {"ordering", "oracle", "cli"}
+    assert not [name for name in imported if routes & set(name.split("."))]
 
 
 # pairs drawn per family; the uniform-only and endpoint-atom families add

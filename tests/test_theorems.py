@@ -25,6 +25,7 @@ from quadorder import (
     params_from_json,
     params_to_json,
 )
+from quadorder import cli, theorems
 from quadorder.cli import _SAMPLERS, run_agreement
 from helpers import REFERENCE_SAMPLERS
 
@@ -209,6 +210,11 @@ def test_samplers_draw_the_fraction_reference_stream(theorem):
         for _ in range(50):
             assert _SAMPLERS[theorem](rng) == REFERENCE_SAMPLERS[theorem](reference_rng), seed
             assert rng.getstate() == reference_rng.getstate(), seed
+
+
+def test_cli_reads_the_samplers_from_the_theorem_table():
+    assert cli._SAMPLERS is theorems._SAMPLERS
+    assert cli.THEOREM_IDS == tuple(name for name, *_ in theorems._FAMILIES.values())
 
 
 def test_mean_ok_iff_barycenters_match():
