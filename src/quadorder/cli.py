@@ -182,30 +182,21 @@ def eval_rational_expr(text: str, env: Optional[dict[str, Fraction]] = None) -> 
 @dataclass(frozen=True)
 class Param:
     """One parameter of a named family: its default, its valid range
-    between lo and hi (each end open unless marked closed), and
-    fail_toward, the direction ("high" or "low") along which holds
+    between lo and hi (open at both ends, or closed at both if closed),
+    and fail_toward, the direction ("high" or "low") along which holds
     eventually gives way to fails, or None when the family declares none."""
 
     default: Fraction
     lo: Fraction
     hi: Fraction
-    lo_closed: bool = False
-    hi_closed: bool = False
+    closed: bool = False
     fail_toward: Optional[str] = None
 
     def contains(self, v: Fraction) -> bool:
-        if v < self.lo or v > self.hi:
-            return False
-        if v == self.lo and not self.lo_closed:
-            return False
-        if v == self.hi and not self.hi_closed:
-            return False
-        return True
+        return self.lo <= v <= self.hi if self.closed else self.lo < v < self.hi
 
     def describe(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo}, {self.hi}{right}"
+        return f"[{self.lo}, {self.hi}]" if self.closed else f"({self.lo}, {self.hi})"
 
 
 @dataclass(frozen=True)
@@ -275,7 +266,7 @@ FAMILIES: dict[str, Family] = {
     ),
     "bp1": Family(
         name="bp1",
-        params={"x": Param(Fraction(1, 4), ZERO, HALF, True, True, fail_toward="high")},
+        params={"x": Param(Fraction(1, 4), ZERO, HALF, True, fail_toward="high")},
         # At x = 0 and x = 1/2 the record is degenerate: it builds its pair
         # but fails validation (ParamError), so it gets no label.
         record={"family": "four-node-upper", "a1": "1/4", "a2": "1/4", "a3": "1/4",
@@ -498,8 +489,8 @@ def run_threshold(
             )
         sign = 1 if param.fail_toward == "high" else -1
         # The range end toward higher u, in u.
-        bound, closed = max((sign * param.lo, param.lo_closed), (sign * param.hi, param.hi_closed))
-        if closed and holds(sign * bound):
+        bound = max(sign * param.lo, sign * param.hi)
+        if param.closed and holds(sign * bound):
             return report(bound, True, True, "range-cap")
         edge = max(sign * v for v in grid)
         inside = bound - Fraction(1, 2 * max_denominator * bound.denominator)
@@ -615,9 +606,8 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
         a, b, record = family.build(params)
         verdict = decide(a, b)
         check = _case_label(record)
-        witness_s = ""
-        if verdict.outcome == FAILS and hasattr(verdict.witness, "s"):
-            witness_s = str(verdict.witness.s)
+        # only a fails verdict has a witness
+        witness_s = str(getattr(verdict.witness, "s", ""))
         row = [str(params[c]) for c in columns]
         row += [
             "true" if verdict.holds else "false",
@@ -692,7 +682,7 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
         raise CLIError("samples must be positive")
     rng = random.Random(seed)
     sampler = _SAMPLERS[theorem]
-    holds_count = fails_count = 0
+    holds = 0
     disagreements = []
     for _ in range(samples):
         params = sampler(rng)
@@ -701,13 +691,10 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
         verdict = decide(a, b)
         report = oracle_decide(a, b)
         oracle_clean = report.max_violation == 0
-        if verdict.holds:
-            holds_count += 1
-        else:
-            fails_count += 1
+        holds += verdict.holds
         if not (check.mean_ok and check.holds == verdict.holds == oracle_clean):
             disagreements.append(_disagreement_record(params, check, oracle_clean, a, b))
-    return AgreementSummary(theorem, samples, seed, holds_count, fails_count, disagreements)
+    return AgreementSummary(theorem, samples, seed, holds, samples - holds, disagreements)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="decide one pair (exit 0 holds/equal, 1 fails, 2 bad input)"
     )
+    check.set_defaults(run=_cmd_check)
     check.add_argument("lhs", nargs="?", help="preset, JSON, or file for the left side")
     check.add_argument("rhs", nargs="?", help="preset, JSON, or file for the right side")
     check.add_argument("--lhs", dest="lhs_flag", help="left side (overrides positional)")
@@ -861,6 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     threshold = sub.add_parser("threshold", help="exact holds-region boundary along a sweep")
     scan = sub.add_parser("scan", help="CSV of holds/fails over a parameter grid")
+    threshold.set_defaults(run=_cmd_threshold)
+    scan.set_defaults(run=_cmd_scan)
     for p in (threshold, scan):
         p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILIES)}, or custom")
         p.add_argument("--sweep", required=True, help="name=start:stop:step (rationals)")
@@ -878,6 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     agree = sub.add_parser(
         "agree", help="fuzz a case checker against the decider and the oracle"
     )
+    agree.set_defaults(run=_cmd_agree)
     agree.add_argument("theorem", choices=THEOREM_IDS)
     agree.add_argument("--samples", type=int, default=1000)
     agree.add_argument("--seed", type=int, default=0)
@@ -886,18 +877,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "threshold": _cmd_threshold,
-    "scan": _cmd_scan,
-    "agree": _cmd_agree,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:  # argparse exits once it has printed help
         return exc.code
     except (CLIError, FunctionalError, ParamError) as exc:

@@ -478,12 +478,13 @@ def _cumulative_verdict(d: DiffFunction) -> Verdict:
     direction = d._linear_direction() if d.short_points is None else 0
     if direction:
         return Verdict(FAILS, LinearWitness(direction))
-    # max_g's walk yields G(1) as well, which g_end then reads
-    s_star, g_max = d.max_g()
+    # one walk yields G(1) and max G; max G's Fractions are formed only
+    # once G(1) = 0
     g_end = d.g_end()
     if g_end != 0:
         # G(1) = barycenter(b) - barycenter(a)
         return Verdict(FAILS, LinearWitness(1 if g_end < 0 else -1))
+    s_star, g_max = d.max_g()
     if g_max <= 0:
         return Verdict(HOLDS)
     return Verdict(FAILS, HingeWitness(s_star, g_max))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Union
 
 from .functionals import (
     Functional,
@@ -149,11 +149,10 @@ class TwoVsThreeParams:
 TheoremParams = Union[ThreeNodeLowerParams, FourNodeUpperParams, TwoVsThreeParams]
 
 
-def _first_case(cases: list[tuple[str, bool]]) -> Optional[str]:
-    for label, satisfied in cases:
-        if satisfied:
-            return label
-    return None
+def _checked(mean_ok: bool, cases: list[tuple[str, bool]]) -> CaseCheck:
+    """The outcome of a case list, labelled by its first satisfied case."""
+    case = next((label for label, satisfied in cases if satisfied), None)
+    return CaseCheck(mean_ok and case is not None, mean_ok, case)
 
 
 def check_three_node_lower(p: ThreeNodeLowerParams) -> CaseCheck:
@@ -177,8 +176,7 @@ def check_three_node_lower(p: ThreeNodeLowerParams) -> CaseCheck:
             and 2 * a1 * c1 + 2 * a2 * c2 >= s12 * s12,
         ),
     ]
-    case = _first_case(cases)
-    return CaseCheck(mean_ok and case is not None, mean_ok, case)
+    return _checked(mean_ok, cases)
 
 
 def check_four_node_upper(p: FourNodeUpperParams) -> CaseCheck:
@@ -203,8 +201,7 @@ def check_four_node_upper(p: FourNodeUpperParams) -> CaseCheck:
             and 2 * a1 * c3 + 2 * a2 * (p.alpha2 - p.alpha3) >= c3 * c3,
         ),
     ]
-    case = _first_case(cases)
-    return CaseCheck(mean_ok and case is not None, mean_ok, case)
+    return _checked(mean_ok, cases)
 
 
 def check_two_vs_three(p: TwoVsThreeParams) -> CaseCheck:
@@ -223,8 +220,7 @@ def check_two_vs_three(p: TwoVsThreeParams) -> CaseCheck:
             and (ONE - p.alpha1) * b1 >= (p.alpha1 - p.beta) * (a - b1),
         ),
     ]
-    case = _first_case(cases)
-    return CaseCheck(mean_ok and case is not None, mean_ok, case)
+    return _checked(mean_ok, cases)
 
 
 # Each is at least 8, so (0, 1/2), (1/2, 1) and (0, 1) hold a lattice
@@ -329,37 +325,50 @@ def _sample_two_vs_three(rng: random.Random) -> TwoVsThreeParams:
             return TwoVsThreeParams(*map(Fraction, *fields))
 
 
-# One row per theorem, record kind -> (family id, case checker, sampler,
-# rules), where rules(f) is the pair (A, B) whose comparison the checker
-# characterizes, read from the fields f by name, each rule written as the
-# paper writes it, as (a_i, alpha_i) pairs, with None for the mean
+# One row per theorem in the table below, keyed by record kind
+class _Row(NamedTuple):
+    name: str  # the family id, as params_to_json writes it
+    check: Callable[..., CaseCheck]
+    sample: Callable[[random.Random], TheoremParams]  # the agree sampler
+    # rules(f) is the pair (A, B) whose comparison the checker
+    # characterizes, read from the fields f by name, each rule written as
+    # the paper writes it, as (a_i, alpha_i) pairs, with None for the mean
+    rules: Callable[[Mapping[str, Fraction]], tuple]
+
+
 _FAMILIES = {
-    ThreeNodeLowerParams: ("three-node-lower", check_three_node_lower, _sample_three_node_lower,
+    ThreeNodeLowerParams: _Row("three-node-lower", check_three_node_lower, _sample_three_node_lower,
         lambda f: ([(f["a1"], f["alpha1"]), (f["a2"], f["alpha2"]), (f["a3"], f["alpha3"])], None)),
-    FourNodeUpperParams: ("four-node-upper", check_four_node_upper, _sample_four_node_upper,
+    FourNodeUpperParams: _Row("four-node-upper", check_four_node_upper, _sample_four_node_upper,
         lambda f: (None, [(f["a1"], 1), (f["a2"], f["alpha2"]),
                           (f["a3"], f["alpha3"]), (f["a4"], 0)])),
-    TwoVsThreeParams: ("two-vs-three", check_two_vs_three, _sample_two_vs_three, lambda f: (
-        [(f["a"], f["alpha1"]), (ONE - f["a"], f["alpha2"])],
-        [(f["b1"], 1), (f["b2"], f["beta"]), (f["b3"], 0)])),
+    TwoVsThreeParams: _Row("two-vs-three", check_two_vs_three, _sample_two_vs_three,
+        lambda f: ([(f["a"], f["alpha1"]), (ONE - f["a"], f["alpha2"])],
+                   [(f["b1"], 1), (f["b2"], f["beta"]), (f["b3"], 0)])),
 }
 
-# the agree samplers by family id, in the table's order
-_SAMPLERS = {name: sampler for name, _, sampler, _ in _FAMILIES.values()}
+# record kinds by family id, and the agree samplers, in the table's order
+_KINDS = {row.name: kind for kind, row in _FAMILIES.items()}
+_SAMPLERS = {row.name: row.sample for row in _FAMILIES.values()}
 
 
-def _family(p: TheoremParams) -> tuple:
+def _family(p: TheoremParams) -> _Row:
     if type(p) not in _FAMILIES:
         raise TypeError(f"unknown parameter record {p!r}")
     return _FAMILIES[type(p)]
 
 
-def _kind(family: object) -> Optional[type]:
-    return next((k for k, (name, *_) in _FAMILIES.items() if name == family), None)
+def _kind(record: object) -> type:
+    """The kind of a record in the params_to_json shape, else ParamError."""
+    family = record.get("family") if isinstance(record, Mapping) else None
+    kind = _KINDS.get(family) if isinstance(family, str) else None
+    if kind is None or set(record) != {"family", *kind.__dataclass_fields__}:
+        raise ParamError(f"not a parameter record: {record!r}")
+    return kind
 
 
 def check_params(p: TheoremParams) -> CaseCheck:
-    return _family(p)[1](p)
+    return _family(p).check(p)
 
 
 def _pair(rules, fields: Mapping[str, Fraction]) -> tuple[Functional, Functional]:
@@ -369,17 +378,17 @@ def _pair(rules, fields: Mapping[str, Fraction]) -> tuple[Functional, Functional
 def functional_pair(p: TheoremParams) -> tuple[Functional, Functional]:
     """The pair (A, B) whose convex-order comparison the case checker
     characterizes: holds(p) should coincide with decide(A, B)."""
-    return _pair(_family(p)[3], vars(p))
+    return _pair(_family(p).rules, vars(p))
 
 
 def record_pair(record: Mapping[str, object]) -> tuple[Functional, Functional]:
     """The pair (A, B) of a record in the params_to_json shape with Fraction
     fields, not validated: a degenerate record gives its degenerate pair."""
-    return _pair(_FAMILIES[_kind(record["family"])][3], record)
+    return _pair(_FAMILIES[_kind(record)].rules, record)
 
 
 def params_to_json(p: TheoremParams) -> dict:
-    out: dict = {"family": _family(p)[0]}
+    out: dict = {"family": _family(p).name}
     for name in p.__dataclass_fields__:
         out[name] = str(getattr(p, name))
     return out
@@ -387,9 +396,4 @@ def params_to_json(p: TheoremParams) -> dict:
 
 def params_from_json(obj: dict) -> TheoremParams:
     """Inverse of params_to_json; field values may be any rational."""
-    fields = dict(obj)
-    family = fields.pop("family", None)
-    kind = _kind(family)
-    if kind is None or set(fields) != set(kind.__dataclass_fields__):
-        raise ParamError(f"not a parameter record: {obj!r}")
-    return kind(**fields)
+    return _kind(obj)(**{name: value for name, value in obj.items() if name != "family"})

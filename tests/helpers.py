@@ -436,8 +436,8 @@ def reference_threshold(spec: ScanSpec, max_denominator: int = 10**6) -> dict:
                 f"fail direction for {spec.sweep!r}; widen the grid"
             )
         sign = 1 if param.fail_toward == "high" else -1
-        bound, closed = max((sign * param.lo, param.lo_closed), (sign * param.hi, param.hi_closed))
-        if closed and holds(sign * bound):
+        bound = max(sign * param.lo, sign * param.hi)
+        if param.closed and holds(sign * bound):
             return report(bound, True, True, "range-cap")
         edge = max(sign * v for v in grid)
         probe = bound - Fraction(1, 2 * max_denominator * bound.denominator)

@@ -487,7 +487,7 @@ def test_threshold_two_switches_is_an_error():
         name="two-switches",
         lhs={"atoms": [{"t": "p", "w": "1/2"}, {"t": "1-p", "w": "1/2"}]},
         rhs={"atoms": [], "uniform": "1"},
-        params={"p": Param(F(0), F(0), F(1), lo_closed=True, hi_closed=True)},
+        params={"p": Param(F(0), F(0), F(1), closed=True)},
     )
     with pytest.raises(NonMonotoneRegion) as raised:
         run_threshold(_make_scan_spec(family, "p=0:1:1/10", []))
@@ -539,7 +539,7 @@ def test_sweep_grid_is_built_once_and_read_only():
 def test_threshold_range_cap_attained_at_a_closed_bound():
     # No named family closes the range bound on its fail side.
     endpoint4 = FAMILIES["endpoint4"]
-    alpha = dataclasses.replace(endpoint4.params["alpha"], lo_closed=True)
+    alpha = dataclasses.replace(endpoint4.params["alpha"], closed=True)
     family = dataclasses.replace(endpoint4, params={**endpoint4.params, "alpha": alpha})
     result = run_threshold(_make_scan_spec(family, "alpha=3/5:19/20:1/20", ["a=1/4"]))
     assert result["threshold"] == "1/2"
@@ -594,7 +594,7 @@ IRRATIONAL = Family(
     lhs={"atoms": [{"t": "0", "w": "41/130"}, {"t": "3/10", "w": "3/13"},
                    {"t": "9/10", "w": "3/13"}, {"t": "1", "w": "29/130"}]},
     rhs={"atoms": [{"t": "0", "w": "(1-p)/2"}, {"t": "1", "w": "(1-p)/2"}], "uniform": "p"},
-    params={"p": Param(F(0), F(0), F(1), lo_closed=True, hi_closed=True)},
+    params={"p": Param(F(0), F(0), F(1), closed=True)},
 )
 
 
@@ -640,8 +640,8 @@ def _seeded_sweeps(rng):
             if param.fail_toward is None:
                 continue
             step = F(1, rng.choice([10, 20, 30, 40]))
-            start = param.lo + step * rng.randint(0 if param.lo_closed else 1, 2)
-            stop = param.hi - step * rng.randint(0 if param.hi_closed else 1, 2)
+            start = param.lo + step * rng.randint(0 if param.closed else 1, 2)
+            stop = param.hi - step * rng.randint(0 if param.closed else 1, 2)
             fixed = [f"{other}={_inside(rng, p)}" for other, p in family.params.items()
                      if other != name and not other.startswith("b")]
             if "b1" in family.params:
@@ -687,7 +687,7 @@ POINT = Family(
     name="point",
     lhs={"atoms": [{"t": "p", "w": "1"}]},
     rhs={"atoms": [{"t": "1/2", "w": "1"}]},
-    params={"p": Param(F(1, 2), F(0), F(1), lo_closed=True, hi_closed=True)},
+    params={"p": Param(F(1, 2), F(0), F(1), closed=True)},
 )
 
 

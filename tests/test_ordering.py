@@ -238,6 +238,16 @@ def test_cumulative_mean_mismatch_gives_linear_witness():
     assert verify_witness(heavy_left, UNIFORM, v)
 
 
+def test_unequal_barycenters_fail_before_max_g_is_formed(monkeypatch):
+    # G(1) != 0 settles the verdict, so max G's Fractions are never built.
+    def max_g(self):
+        raise AssertionError("max G is not needed once G(1) != 0")
+
+    monkeypatch.setattr(ordering.DiffFunction, "max_g", max_g)
+    point_at_zero = make_functional([(0, 1)])
+    assert decide(point_at_zero, UNIFORM) == Verdict(FAILS, LinearWitness(-1))
+
+
 def test_verify_witness_rejects_forged_witnesses():
     # The linear witness is read through the hinge h_0(t) = t.  Both
     # directions occur, so dropping the direction factor rejects a genuine

@@ -24,6 +24,7 @@ from quadorder import (
     functional_pair,
     params_from_json,
     params_to_json,
+    record_pair,
 )
 from quadorder import cli, theorems
 from quadorder.cli import _SAMPLERS, run_agreement
@@ -340,6 +341,15 @@ def test_params_from_json_rejects_what_is_not_a_record():
     ):
         with pytest.raises(ParamError):
             params_from_json(bad)
+
+
+@pytest.mark.parametrize("call", [params_from_json, record_pair])
+@pytest.mark.parametrize(
+    "bad", [{"family": "nosuch"}, {}, {"family": ["x"]}, [1, 2], "x", None]
+)
+def test_a_non_record_is_a_param_error(call, bad):
+    with pytest.raises(ParamError, match="^not a parameter record: "):
+        call(bad)
 
 
 @pytest.mark.parametrize("call", [check_params, functional_pair, params_to_json])
