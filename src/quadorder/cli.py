@@ -88,9 +88,11 @@ class NonMonotoneRegion(CLIError):
 # ---------------------------------------------------------------------------
 
 
+# A parameter name: a letter or "_", then letters, digits or "_".
+_NAME = re.compile(r"[^\W\d]\w*")
 # One token per match: a number, a name, an operator or parenthesis, or a
 # bad character.
-_TOKEN = re.compile(r"\s*(?:([\d.]+)|([^\W\d]\w*)|([-+*/()])|(\S))")
+_TOKEN = re.compile(rf"\s*(?:([\d.]+)|({_NAME.pattern})|([-+*/()])|(\S))")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "~": 3}  # "~" is unary minus
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 # Each distinct expression text is parsed once; a scan or threshold search
@@ -342,7 +344,7 @@ def _make_scan_spec(
         raise CLIError(f"sweep step must be positive, got {step}")
     if stop < start:
         raise CLIError(f"sweep stop {stop} is below start {start}")
-    fixed = {key: param.default for key, param in family.params.items()}
+    fixed = {key: param.default for key, param in family.params.items() if key != name}
     for fix in fix_args:
         if "=" not in fix:
             raise CLIError("--fix must look like name=value")
@@ -350,7 +352,10 @@ def _make_scan_spec(
         if key.strip() == name:
             raise CLIError(f"--fix cannot set {name}: it is the swept parameter")
         fixed[key.strip()] = eval_rational_expr(value_text)
-    fixed.pop(name, None)
+    # a name no expression can use would sweep or fix nothing
+    for key in (name, *fixed):
+        if not _NAME.fullmatch(key):
+            raise CLIError(f"{key!r} is not a name: a letter or _, then letters, digits or _")
     spec = ScanSpec(family, name, start, stop, step, fixed)
     if family.params:
         # every parameter at the first grid point, then the swept one alone:
@@ -381,16 +386,19 @@ def _load_json_or_file(text: str) -> object:
         raise CLIError(f"bad JSON in {text!r}: {exc}") from None
 
 
-def _resolve_family(args: argparse.Namespace) -> Family:
+def _sweep_spec(args: argparse.Namespace) -> ScanSpec:
+    """The sweep of threshold's or scan's --family, --lhs/--rhs, --sweep and --fix."""
+    family = FAMILIES.get(args.family)
     if args.family == "custom":
         if not (args.lhs and args.rhs):
             raise CLIError("family custom needs --lhs and --rhs templates")
-        return Family("custom", lhs=_load_json_or_file(args.lhs), rhs=_load_json_or_file(args.rhs))
-    if args.family not in FAMILIES:
+        lhs, rhs = (_load_json_or_file(text) for text in (args.lhs, args.rhs))
+        family = Family("custom", lhs=lhs, rhs=rhs)
+    elif family is None:
         raise CLIError(f"unknown family {args.family!r}")
-    if args.lhs is not None or args.rhs is not None:
+    elif args.lhs is not None or args.rhs is not None:
         raise CLIError(f"--lhs and --rhs are for --family custom, not {args.family}")
-    return FAMILIES[args.family]
+    return _make_scan_spec(family, args.sweep, args.fix)
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +455,18 @@ def run_threshold(
             f"{['H' if f else 'F' for f in flags]}"
         )
 
-    result = {
-        "family": family.name,
-        "sweep": spec.sweep,
-        "fixed": {k: str(v) for k, v in sorted(spec.fixed.items())},
-        "grid": {
-            "start": str(spec.start),
-            "stop": str(spec.stop),
-            "step": str(spec.step),
-        },
-    }
-
     def report(u: Fraction, attained: bool, exact: bool, basis: str) -> dict:
-        result.update(
-            direction="holds_below" if sign > 0 else "holds_above",
-            threshold=str(sign * u),
-            attained=attained,
-            exact=exact,
-            basis=basis,
-        )
-        return result
+        return {
+            "family": family.name,
+            "sweep": spec.sweep,
+            "fixed": {k: str(v) for k, v in sorted(spec.fixed.items())},
+            "grid": {"start": str(spec.start), "stop": str(spec.stop), "step": str(spec.step)},
+            "direction": "holds_below" if sign > 0 else "holds_above",
+            "threshold": str(sign * u),
+            "attained": attained,
+            "exact": exact,
+            "basis": basis,
+        }
 
     if switches:
         i = switches[0]
@@ -490,9 +490,10 @@ def run_threshold(
         sign = 1 if param.fail_toward == "high" else -1
         # The range end toward higher u, in u.
         bound = max(sign * param.lo, sign * param.hi)
-        if param.closed and holds(sign * bound):
-            return report(bound, True, True, "range-cap")
+        # The grid edge toward the bound; when it is the bound, it held.
         edge = max(sign * v for v in grid)
+        if param.closed and (edge == bound or holds(sign * bound)):
+            return report(bound, True, True, "range-cap")
         inside = bound - Fraction(1, 2 * max_denominator * bound.denominator)
         if inside <= edge:
             inside = (edge + bound) / 2
@@ -518,26 +519,25 @@ def run_threshold(
     # until it contains at most one rational with denominator <=
     # max_denominator (two distinct p/q, r/s differ by >= 1/(q*s)), in
     # `halvings` steps that end in one of 2**halvings cells of width `cell`.
-    resolution = Fraction(1, 2 * max_denominator * max_denominator)
-    span = (hi - lo) / resolution
-    halvings = (-(-span.numerator // span.denominator) - 1).bit_length()
+    halvings = (ceil((hi - lo) * 2 * max_denominator**2) - 1).bit_length()
     cell = (hi - lo) / 2**halvings
-    # A galloping Stern-Brocot search (Kwek & Mehlhorn 2003) in x = u - shift
-    # over the rationals within the limit: ends[True] = a/b holds and
-    # ends[False] = c/d fails (1/0 is +infinity); each turn moves one end
-    # toward the other as far as it keeps its verdict, doubling the step
-    # and then halving back.  Before each turn of the failing end, if the
-    # holds bound has risen since the last such probe, the top of its cell
-    # is probed: when the bound is the boundary, that probe fails and ends
-    # the search, which would otherwise step toward it up to the limit.
-    shift = floor(lo)
+    # A galloping Stern-Brocot search (Kwek & Mehlhorn 2003) over the
+    # rationals within the limit: ends[True] = a/b holds and ends[False] =
+    # c/d fails (1/0 is +infinity).  They start at floor(lo)/1 and 1/0, a
+    # unimodular pair, so their mediants are the tree's points between them.
+    # Each turn moves one end toward the other as far as it keeps its
+    # verdict, doubling the step and then halving back.  Before each turn
+    # of the failing end, if the holds bound has risen since the last such
+    # probe, the top of its cell is probed: when the bound is the boundary,
+    # that probe fails and ends the search, which would otherwise step
+    # toward it up to the limit.
 
     # The largest k >= 0 whose point (n + k dn) / (m + k dm) answers want,
-    # its denominator within the limit (toward 1/0, k at most ceil(hi) - shift,
-    # past which every point fails).
+    # its denominator within the limit (toward 1/0, the point at most
+    # ceil(hi), past which every point fails).
     def run(n: int, m: int, dn: int, dm: int, want: bool) -> int:
-        limit = (max_denominator - m) // dm if dm else ceil(hi) - shift
-        test = lambda k: probe(Fraction(shift * (m + k * dm) + n + k * dn, m + k * dm)) == want
+        limit = (max_denominator - m) // dm if dm else ceil(hi) * m - n
+        test = lambda k: probe(Fraction(n + k * dn, m + k * dm)) == want
         good, bad = 0, 1
         while bad <= limit and test(bad):
             good, bad = bad, 2 * bad
@@ -547,7 +547,7 @@ def run_threshold(
             good, bad = (mid, bad) if test(mid) else (good, mid)
         return good
 
-    ends, want, checked = {True: (0, 1), False: (1, 0)}, False, None
+    ends, want, checked = {True: (floor(lo), 1), False: (1, 0)}, False, None
     while True:
         if not want and checked != known[0]:
             if not probe(lo + (floor((known[0] - lo) / cell) + 1) * cell):
@@ -559,26 +559,23 @@ def run_threshold(
         k = run(n, m, dn, dm, want)
         ends[want], want = (n + k * dn, m + k * dm), not want
 
-    # The halving answers a midpoint that the bounds settle without a
-    # decide, so it resumes from where those answers take it: the smallest
-    # aligned block of cells from the one holding known[0] to the last
-    # below known[1].
-    first, last = floor((known[0] - lo) / cell), ceil((known[1] - lo) / cell) - 1
-    size = 1 << (first ^ last).bit_length()
-    lo += first // size * size * cell
-    hi = lo + size * cell
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if probe(mid):
-            lo = mid
+    # The bisection of cells k..j: a cell edge at or below known[0] holds,
+    # one at or above known[1] fails, and only those between are decided.
+    first, last = floor((known[0] - lo) / cell), ceil((known[1] - lo) / cell)
+    k, j = 0, 1 << halvings
+    while j - k > 1:
+        mid = (k + j) // 2
+        if mid <= first or (mid < last and probe(lo + mid * cell)):
+            k = mid
         else:
-            hi = mid
+            j = mid
+    lo, hi = lo + k * cell, lo + j * cell
     # A rational that fits is the midpoint's closest one within the limit.
     # The holds-set is closed, so a failing candidate is not the boundary,
     # and a candidate whose probe toward hi also holds lies below it.  An
     # irrational boundary between a holding candidate and its failing probe
     # still passes as exact.  Every value decided past the grid is a cell
-    # boundary or a rational within the limit, and the final cell holds at
+    # edge or a rational within the limit, and the final cell holds at
     # most one such rational; so whatever the holds-set, a value reported as
     # holding was decided, and so was an exact report's confirming probe.
     candidate = ((lo + hi) / 2).limit_denominator(max_denominator)
@@ -769,17 +766,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
-    spec = _make_scan_spec(family, args.sweep, args.fix)
-    result = run_threshold(spec, max_denominator=args.max_denominator)
+    result = run_threshold(_sweep_spec(args), max_denominator=args.max_denominator)
     _emit(json.dumps(result) + "\n", args.out)
     return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    family = _resolve_family(args)
-    spec = _make_scan_spec(family, args.sweep, args.fix)
-    header, rows = run_scan(spec)
+    header, rows = run_scan(_sweep_spec(args))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

@@ -242,6 +242,15 @@ def test_check_bad_inputs_exit_2(capsys):
         ["check", '{"atoms": [{"t": "1/2", "w": "1e300000"}]}', "uniform"],
         # a JSON integer beyond the interpreter's digit limit
         ["check", '{"atoms": [{"t": 1' + "0" * 5000 + ', "w": "1"}]}', "uniform"],
+        # a sweep or fix name that no expression can use
+        *([command, "--family", "custom", *names, "--lhs", lhs, "--rhs", UNIFORM_JSON]
+          for command in ("scan", "threshold")
+          for names, lhs in (
+              (["--sweep", "=0:1:1/2"], '{"atoms":[{"t":"1/2","w":1}]}'),
+              (["--sweep", "p p=0:1:1/2"], '{"atoms":[{"t":"1/2","w":1}]}'),
+              (["--sweep", "p=1/10:1/2:1/10", "--fix", "q q=1"],
+               '{"atoms":[{"t":"p","w":"1/2"},{"t":"1-p","w":"1/2"}]}'),
+          )),
     ],
 )
 def test_malformed_input_is_a_one_line_error(capsys, argv):
@@ -679,6 +688,36 @@ def test_threshold_matches_the_plain_bisection():
         for max_denominator in THRESHOLD_LIMITS:
             want = _outcome(reference_threshold, spec, max_denominator)
             assert _outcome(run_threshold, spec, max_denominator) == want, (spec, max_denominator)
+
+
+def test_threshold_decides_past_the_grid_only_cell_edges_and_rationals_within_the_limit(
+    monkeypatch,
+):
+    # Past the grid, every decided value but the last (the confirming probe)
+    # is a dyadic point of the switching grid cell [g, h] or a rational with
+    # denominator <= D.  The final cell holds at most one such rational, so
+    # no decided value inside it is one the report could pass over.
+    rng = random.Random(2323)
+    specs = [*_seeded_sweeps(rng), *_seeded_sweeps(rng),
+             _make_scan_spec(IRRATIONAL, "p=0:1:1/20", [])]
+    cells = []
+    for spec in specs:
+        flags = [decide(*spec.family.build(spec.params_at(v))[:2]).holds for v in spec.grid]
+        switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
+        if len(switches) == 1:  # a range-cap bracket has no grid cell
+            cells.append((spec, *spec.grid[switches[0]:switches[0] + 2]))
+    assert len(cells) == 9
+    decided = []
+    params_at = ScanSpec.params_at
+    monkeypatch.setattr(ScanSpec, "params_at", lambda spec, v: decided.append(v) or params_at(spec, v))
+    for spec, g, h in cells:
+        for max_denominator in THRESHOLD_LIMITS:
+            decided.clear()
+            run_threshold(spec, max_denominator)
+            for v in decided[len(spec.grid):-1]:
+                dyadic = ((v - g) / (h - g)).denominator
+                assert v.denominator <= max_denominator or dyadic & (dyadic - 1) == 0, (
+                    spec, max_denominator, v)
 
 
 # One atom at p against one at 1/2: the pair only carries p to a stand-in

@@ -52,15 +52,16 @@ def test_threshold_entries_take_the_pinned_decides(monkeypatch):
     # Every threshold entry of the corpus, replayed under a counting decide.
     # A plain bisection of each grid bracket down to 1/(2 D^2) took 704; the
     # search and one probe at the top of each new holding point's bisection
-    # cell leave the bounds to settle most halvings.  The custom entry
-    # takes 9 of the 227.
+    # cell leave the bounds to settle most halvings, and a closed range
+    # bound that is a grid point is not decided again.  The custom entry
+    # takes 9 of the 226.
     calls = []
     decide = cli.decide
     monkeypatch.setattr(cli, "decide", lambda a, b: calls.append(1) or decide(a, b))
     for case in _load():
         if case["argv"][0] == "threshold":
             _run(case["argv"])
-    assert len(calls) == 227
+    assert len(calls) == 226
 
 
 def test_module_entry_point_prints_the_corpus_bytes():
