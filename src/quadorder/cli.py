@@ -37,6 +37,7 @@ from .functionals import (
     HALF,
     ONE,
     PRESETS,
+    ScalarMap,
     ZERO,
     as_fraction,
     functional_from_json,
@@ -236,9 +237,9 @@ class Family:
         return functional_from_json(self.lhs, scalar), functional_from_json(self.rhs, scalar), None
 
 
-FAMILIES: dict[str, Family] = {
-    "symmetric3": Family(
-        name="symmetric3",
+FAMILIES: dict[str, Family] = {family.name: family for family in (
+    Family(
+        "symmetric3",
         params={
             "a": Param(Fraction(1, 4), ZERO, HALF, fail_toward="high"),
             "alpha": Param(Fraction(3, 4), HALF, ONE, fail_toward="high"),
@@ -246,8 +247,8 @@ FAMILIES: dict[str, Family] = {
         record={"family": "three-node-lower", "a1": "a", "a2": "1-2*a", "a3": "a",
                 "alpha1": "alpha", "alpha2": "1/2", "alpha3": "1-alpha"},
     ),
-    "endpoint4": Family(
-        name="endpoint4",
+    Family(
+        "endpoint4",
         params={
             "a": Param(Fraction(1, 4), ZERO, HALF, fail_toward="low"),
             "alpha": Param(Fraction(3, 4), HALF, ONE, fail_toward="low"),
@@ -255,8 +256,8 @@ FAMILIES: dict[str, Family] = {
         record={"family": "four-node-upper", "a1": "a", "a2": "1/2-a", "a3": "1/2-a",
                 "a4": "a", "alpha2": "alpha", "alpha3": "1-alpha"},
     ),
-    "twoVsThree": Family(
-        name="twoVsThree",
+    Family(
+        "twoVsThree",
         params={
             "alpha": Param(Fraction(3, 5), HALF, ONE, fail_toward="high"),
             "b1": Param(Fraction(1, 6), ZERO, ONE),
@@ -266,15 +267,15 @@ FAMILIES: dict[str, Family] = {
         record={"family": "two-vs-three", "a": "1/2", "alpha1": "alpha", "alpha2": "1-alpha",
                 "beta": "1/2", "b1": "b1", "b2": "b2", "b3": "b3"},
     ),
-    "bp1": Family(
-        name="bp1",
+    Family(
+        "bp1",
         params={"x": Param(Fraction(1, 4), ZERO, HALF, True, fail_toward="high")},
         # At x = 0 and x = 1/2 the record is degenerate: it builds its pair
         # but fails validation (ParamError), so it gets no label.
         record={"family": "four-node-upper", "a1": "1/4", "a2": "1/4", "a3": "1/4",
                 "a4": "1/4", "alpha2": "1-x", "alpha3": "x"},
     ),
-}
+)}
 
 
 def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None:
@@ -287,17 +288,6 @@ def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None
                 f"{name} = {value} outside the valid range {param.describe()} "
                 f"for family {family.name}"
             )
-
-
-def _case_label(record: Optional[dict]) -> Optional[CaseCheck]:
-    """The case label of an evaluated family record, None for no record or
-    one that fails validation."""
-    if record is None:
-        return None
-    try:
-        return check_params(params_from_json(record))
-    except ParamError:
-        return None
 
 
 # A sweep grid longer than this is bad input: each point costs a decide.
@@ -468,10 +458,21 @@ def run_threshold(
             "basis": basis,
         }
 
+    # Every decide past the grid, range cap included, goes through probe(u):
+    # known holds the tightest decided bounds, the largest u decided to hold
+    # and the smallest decided to fail, and a u outside them is answered
+    # without a decide.
+    def probe(u: Fraction) -> bool:
+        if not known[0] < u < known[1]:
+            return u <= known[0]
+        verdict = holds(sign * u)
+        known[not verdict] = u
+        return verdict
+
     if switches:
         i = switches[0]
         sign = 1 if flags[i] else -1
-        lo, hi = sorted((sign * grid[i], sign * grid[i + 1]))
+        known = sorted((sign * grid[i], sign * grid[i + 1]))
     else:
         if not any(flags):
             raise NonMonotoneRegion(
@@ -490,30 +491,20 @@ def run_threshold(
         sign = 1 if param.fail_toward == "high" else -1
         # The range end toward higher u, in u.
         bound = max(sign * param.lo, sign * param.hi)
-        # The grid edge toward the bound; when it is the bound, it held.
-        edge = max(sign * v for v in grid)
-        if param.closed and (edge == bound or holds(sign * bound)):
+        # known starts at the grid edge toward the bound, which held, and
+        # past the bound, where nothing is decided: so a closed bound that is
+        # the grid edge is answered without a decide.
+        known = [max(sign * v for v in grid), bound + 1]
+        if param.closed and probe(bound):
             return report(bound, True, True, "range-cap")
         inside = bound - Fraction(1, 2 * max_denominator * bound.denominator)
-        if inside <= edge:
-            inside = (edge + bound) / 2
-        if holds(sign * inside):
+        if inside <= known[0]:
+            inside = (known[0] + bound) / 2
+        if probe(inside):
             # No failing point with denominator <= max_denominator short of
             # the bound: the holds-region runs up to the (open) range bound.
             return report(bound, False, True, "range-cap")
-        lo, hi = edge, inside
-
-    # Past here every probe goes through probe(u): known holds the tightest
-    # decided bounds, the largest u decided to hold and the smallest decided
-    # to fail, and a u outside them is answered without a decide.
-    known = [lo, hi]
-
-    def probe(u: Fraction) -> bool:
-        if not known[0] < u < known[1]:
-            return u <= known[0]
-        verdict = holds(sign * u)
-        known[not verdict] = u
-        return verdict
+    lo, hi = known
 
     # Invariant: lo holds, hi fails.  The bisection below shrinks [lo, hi]
     # until it contains at most one rational with denominator <=
@@ -602,16 +593,14 @@ def run_scan(spec: ScanSpec) -> tuple[list[str], list[list[str]]]:
         params = spec.params_at(value)
         a, b, record = family.build(params)
         verdict = decide(a, b)
-        check = _case_label(record)
+        # a custom family's record (None) or a degenerate one gets no label
+        case = ""
+        with suppress(ParamError):
+            case = check_params(params_from_json(record)).case or ""
         # only a fails verdict has a witness
         witness_s = str(getattr(verdict.witness, "s", ""))
         row = [str(params[c]) for c in columns]
-        row += [
-            "true" if verdict.holds else "false",
-            check.case or "" if check else "",
-            witness_s,
-        ]
-        rows.append(row)
+        rows.append(row + ["true" if verdict.holds else "false", case, witness_s])
     return header, rows
 
 
@@ -702,44 +691,44 @@ def run_agreement(theorem: str, samples: int, seed: int) -> AgreementSummary:
 def _load_functional(
     text: str,
     paper_convention: bool,
-    interval: Optional[tuple[Fraction, Fraction]],
+    scalar: Optional[ScalarMap],
 ) -> Functional:
-    """A preset, or functional JSON or a file of it.  With an interval [x, y]
-    each atom position t maps to (t - x)/(y - x); pairs need no mapping."""
+    """A preset, or functional JSON or a file of it, each scalar read
+    through scalar when one is given."""
     if text in PRESETS:
         return PRESETS[text]
     obj = _load_json_or_file(text)
     if paper_convention and not (isinstance(obj, dict) and "pairs" in obj):
         raise CLIError("--paper-convention expects {'pairs': [...]} input")
-    if interval is None:
-        return functional_from_json(obj)
-    x, y = interval
-    width = y - x
-    return functional_from_json(
-        obj, lambda field, value: (as_fraction(value) - x) / width if field == "t" else value
-    )
+    return functional_from_json(obj, scalar)
 
 
 # A failed write, to out_path or to stdout, is an error (exit 2), never a
 # traceback; stdout is flushed so that its error is raised here.  With fd 1
 # closed at start-up, sys.stdout is None and print would write nothing.
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if not out_path and sys.stdout is None:
+    if out_path is None and sys.stdout is None:
         raise CLIError("cannot write stdout: it is closed")
     try:
-        if not out_path:
+        if out_path is None:
             print(text, end="", flush=True)
             return
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        if not out_path:
+        if out_path is None:
             # A buffered stdout keeps the bytes it could not write, and its
             # flush at exit would fail on them again (exit 120, with an
             # "Exception ignored" report): its descriptor goes to devnull.
+            # fileno() is read first, so a devnull descriptor once open is closed.
             with suppress(AttributeError, OSError):
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise CLIError(f"cannot write {repr(out_path) if out_path else 'stdout'}: {exc}") from None
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                try:
+                    os.dup2(devnull, fd)
+                finally:
+                    os.close(devnull)
+        where = "stdout" if out_path is None else repr(out_path)
+        raise CLIError(f"cannot write {where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -748,18 +737,17 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    lhs_text = args.lhs_flag or args.lhs
-    rhs_text = args.rhs_flag or args.rhs
-    if not lhs_text or not rhs_text:
+    texts = (args.lhs_flag or args.lhs, args.rhs_flag or args.rhs)
+    if not all(texts):
         raise CLIError("check needs two functionals (positional or --lhs/--rhs)")
-    interval = None
+    scalar = None
     if args.interval:
         x, y = (eval_rational_expr(v) for v in args.interval)
         if x >= y:
             raise CLIError(f"--interval needs x < y, got {x} {y}")
-        interval = (x, y)
-    lhs = _load_functional(lhs_text, args.paper_convention, interval)
-    rhs = _load_functional(rhs_text, args.paper_convention, interval)
+        # each atom position t maps to (t - x)/(y - x); pairs need no mapping
+        scalar = lambda field, value: (as_fraction(value) - x) / (y - x) if field == "t" else value
+    lhs, rhs = (_load_functional(text, args.paper_convention, scalar) for text in texts)
     verdict = decide(lhs, rhs, diagnose=args.diagnose)
     _emit(json.dumps(verdict_to_json(verdict, diagnose=args.diagnose)) + "\n", args.out)
     return 0 if verdict.holds else 1
@@ -785,7 +773,7 @@ def _cmd_agree(args: argparse.Namespace) -> int:
     summary = run_agreement(args.theorem, args.samples, args.seed)
     records = "".join(json.dumps(record) + "\n" for record in summary.disagreements)
     # The --out file is written first, so a failed write leaves stdout empty.
-    if args.out:
+    if args.out is not None:
         _emit(records, args.out)
         records = ""
     _emit(json.dumps(summary.to_json()) + "\n" + records, None)

@@ -414,6 +414,9 @@ class LinearWitness:
 
     direction: int
 
+    def to_json(self) -> dict:
+        return {"kind": "linear", "direction": f"{self.direction:+d}"}
+
 
 @dataclass(frozen=True)
 class HingeWitness:
@@ -421,6 +424,9 @@ class HingeWitness:
 
     s: Fraction
     gap: Fraction
+
+    def to_json(self) -> dict:
+        return {"kind": "hinge", "s": str(self.s), "gap": str(self.gap)}
 
 
 Witness = Union[LinearWitness, HingeWitness]
@@ -439,17 +445,7 @@ class Verdict:
 
 
 def verdict_to_json(verdict: Verdict, diagnose: bool = False) -> dict:
-    witness: Optional[dict]
-    if isinstance(verdict.witness, HingeWitness):
-        witness = {
-            "kind": "hinge",
-            "s": str(verdict.witness.s),
-            "gap": str(verdict.witness.gap),
-        }
-    elif isinstance(verdict.witness, LinearWitness):
-        witness = {"kind": "linear", "direction": f"{verdict.witness.direction:+d}"}
-    else:
-        witness = None
+    witness = verdict.witness.to_json() if verdict.witness else None
     out: dict = {"outcome": verdict.outcome, "witness": witness}
     if diagnose:
         out["crossings"] = verdict.crossings.to_json() if verdict.crossings else None

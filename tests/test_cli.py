@@ -22,6 +22,7 @@ from quadorder import (
     UNIFORM,
     ParamError,
     Verdict,
+    check_params,
     cli,
     decide,
     functional_pair,
@@ -38,7 +39,6 @@ from quadorder.cli import (
     NonMonotoneRegion,
     Param,
     ScanSpec,
-    _case_label,
     _make_scan_spec,
     eval_rational_expr,
     main,
@@ -292,9 +292,14 @@ WRITING_ARGV = [
 
 
 @pytest.mark.parametrize("argv", WRITING_ARGV)
-@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory", "empty"])
 def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv, target):
-    out_path = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+    # an empty path names no file: it is refused, not read as stdout
+    out_path = {
+        "missing-directory": tmp_path / "missing" / "out.txt",
+        "a-directory": tmp_path,
+        "empty": "",
+    }[target]
     assert_one_line_error(capsys, *argv, "--out", str(out_path))
 
 
@@ -307,6 +312,24 @@ def test_unwritable_stdout_is_a_one_line_error(capsys, monkeypatch, argv, failin
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(
+    not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+    reason="needs a /dev/full device and /proc/self/fd",
+)
+def test_a_failed_stdout_write_leaves_no_descriptor_open(monkeypatch, capsys):
+    # Each failed write points stdout's descriptor at devnull; the devnull
+    # descriptor opened for that is closed again, so calls in one process
+    # do not pile up open descriptors.
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["check", "midpoint", "uniform"]) == 2
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err.count("No space left on device") == 5
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
@@ -946,8 +969,9 @@ def test_bp1_endpoints_build_their_degenerate_pairs_and_get_no_case_label():
     for x, rhs in ((F(0), trapezoid), (F(1, 2), simpson_like)):
         a, b, record = bp1.build({"x": x})
         assert (a, b) == (UNIFORM, rhs)
-        assert _case_label(record) is None
-    assert _case_label(bp1.build({"x": F(1, 4)})[2]).case is not None
+        with pytest.raises(ParamError):
+            params_from_json(record)
+    assert check_params(params_from_json(bp1.build({"x": F(1, 4)})[2])).case is not None
 
 
 def test_scan_evaluates_each_row_record_once(monkeypatch):

@@ -1,7 +1,12 @@
 """tools/count_lines.py counts by CI's line rule, and its rows add up."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("count_lines", ROOT / "tools" / "count_lines.py")
@@ -45,3 +50,23 @@ def test_rows_partition_each_module_and_modules_the_total():
     for source, total in zip(sources, modules):
         assert sum(lines for lines, _, _ in count_lines.definition_rows(source)) == total
     assert sum(modules) == len(count_lines.counted_lines(b"".join(sources)))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_stops_early_gets_exit_1_and_no_traceback(unbuffered):
+    # The pipe's read end is closed before the tool writes, as `| head -1`
+    # closes it after one line; every write then fails at once, so no
+    # timing decides which write meets the closed pipe.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "count_lines.py")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quadorder
-from quadorder import FAILS, HingeWitness, LinearWitness, Verdict, verify_witness
+from quadorder import FAILS, HingeWitness, LinearWitness, Verdict, as_fraction, verify_witness
 from quadorder.cli import (
     FAMILIES,
     THEOREM_IDS,
@@ -216,11 +216,12 @@ def witness_verifies(argv: list[str], stdout: str) -> bool:
     sides = argv[1:3]
     if "--lhs" in argv:
         sides = [argv[argv.index("--lhs") + 1], argv[argv.index("--rhs") + 1]]
-    interval = None
+    scalar = None
     if "--interval" in argv:
         k = argv.index("--interval")
-        interval = (eval_rational_expr(argv[k + 1]), eval_rational_expr(argv[k + 2]))
-    a, b = (_load_functional(side, "--paper-convention" in argv, interval) for side in sides)
+        x, y = eval_rational_expr(argv[k + 1]), eval_rational_expr(argv[k + 2])
+        scalar = lambda field, value: (as_fraction(value) - x) / (y - x) if field == "t" else value
+    a, b = (_load_functional(side, "--paper-convention" in argv, scalar) for side in sides)
     witness = json.loads(stdout)["witness"]
     if witness["kind"] == "hinge":
         claimed = HingeWitness(Fraction(witness["s"]), Fraction(witness["gap"]))

@@ -18,6 +18,7 @@ The rows of a module add up to its count.
 from __future__ import annotations
 
 import ast
+import os
 import re
 import sys
 from pathlib import Path
@@ -92,4 +93,13 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # A reader that stops early (`| head -1`) closes the pipe: exit 1 with
+    # no traceback.  The flush raises here, not at exit, and stdout then
+    # goes to devnull so the flush at exit does not fail again.
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
