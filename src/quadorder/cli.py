@@ -719,13 +719,17 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         if out_path is None:
             # A buffered stdout keeps the bytes it could not write, and its
             # flush at exit would fail on them again (exit 120, with an
-            # "Exception ignored" report): its descriptor goes to devnull.
-            # fileno() is read first, so a devnull descriptor once open is closed.
+            # "Exception ignored" report): they are flushed to devnull, and
+            # the descriptor is then restored, so a later write fails again.
             with suppress(AttributeError, OSError):
-                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                fd = sys.stdout.fileno()
+                saved, devnull = os.dup(fd), os.open(os.devnull, os.O_WRONLY)
                 try:
                     os.dup2(devnull, fd)
+                    sys.stdout.flush()
                 finally:
+                    os.dup2(saved, fd)
+                    os.close(saved)
                     os.close(devnull)
         where = "stdout" if out_path is None else repr(out_path)
         raise CLIError(f"cannot write {where}: {exc}") from None

@@ -333,6 +333,20 @@ def test_a_failed_stdout_write_leaves_no_descriptor_open(monkeypatch, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_a_failed_stdout_write_leaves_stdout_on_its_own_device(monkeypatch, capsys):
+    # The bytes a failed write leaves behind go to devnull, but the
+    # descriptor itself is restored: a later call on the same stdout fails
+    # too, instead of exiting 0 with its output discarded.
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        codes = [main(["check", "midpoint", "uniform"]) for _ in range(3)]
+        monkeypatch.undo()
+        assert codes == [2, 2, 2]
+        assert os.fstat(full.fileno()).st_rdev == os.stat("/dev/full").st_rdev
+    assert capsys.readouterr().err.count("No space left on device") == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize(
     "argv",

@@ -246,6 +246,9 @@ def test_every_invocation_ends_in_a_documented_exit_code(argv):
         # bad input, the command line included: one error line, no usage block
         lines = stderr.splitlines()
         assert stdout == "" and len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        # a verdict writes nothing to stderr
+        assert stderr == "", stderr
     if code == 1:
         assert argv[0] == "check" and witness_verifies(argv, stdout)
 

@@ -34,18 +34,24 @@ def _load() -> list[dict]:
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("case", _load(), ids=lambda case: " ".join(case["argv"])[:80])
 def test_cli_output_bytes_match_the_corpus(case):
-    code, stdout = _run(case["argv"])
+    code, stdout, stderr = _run(case["argv"])
     assert code == case["exit"]
     assert stdout.encode("utf-8") == case["stdout"].encode("utf-8")
+    # a verdict writes nothing to stderr; a refusal writes one error line
+    if code == 2:
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert stderr == ""
 
 
 def test_threshold_entries_take_the_pinned_decides(monkeypatch):
@@ -80,5 +86,5 @@ def test_module_entry_point_prints_the_corpus_bytes():
 if __name__ == "__main__":
     cases = _load()
     for case in cases:
-        case["exit"], case["stdout"] = _run(case["argv"])
+        case["exit"], case["stdout"], _ = _run(case["argv"])
     CORPUS.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

@@ -158,6 +158,8 @@ PAIR_COUNTS = {
     "uniform-only": 200,
     "endpoint-atoms": 100,
     "coprime": 8,
+    "shared-positions": 200,
+    "equal": 100,
 }
 
 
@@ -191,17 +193,17 @@ def test_one_pass_oracle_matches_the_explicit_grid_and_the_reference(family):
 
 def test_one_pass_oracle_builds_each_table_once_and_no_fraction_grid(monkeypatch):
     tables, fractions = [], []
-    hinge_table, fraction = quadorder.oracle._hinge_table, quadorder.oracle.Fraction
+    build_tables, fraction = quadorder.oracle._tables, quadorder.oracle.Fraction
 
-    def counted_table(*args):
-        tables.append(args[0])
-        return hinge_table(*args)
+    def counted_tables(*args):
+        tables.append(args)
+        return build_tables(*args)
 
     def counted_fraction(*args):
         fractions.append(args)
         return fraction(*args)
 
-    monkeypatch.setattr(quadorder.oracle, "_hinge_table", counted_table)
+    monkeypatch.setattr(quadorder.oracle, "_tables", counted_tables)
     monkeypatch.setattr(quadorder.oracle, "Fraction", counted_fraction)
     rng = random.Random(29)
     pairs = pair_family(rng, "random", 40) + pair_family(rng, "equal-mean", 40)
@@ -209,6 +211,6 @@ def test_one_pass_oracle_builds_each_table_once_and_no_fraction_grid(monkeypatch
         tables.clear()
         fractions.clear()
         report = oracle_decide(a, b)
-        # one table per side, and Fractions for max_violation and worst_s only
-        assert tables == [a, b]
+        # one table of both sides, and Fractions for max_violation and worst_s only
+        assert tables == [(a, b)]
         assert len(fractions) == (1 if report.worst_s is None else 2)
