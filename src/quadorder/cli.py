@@ -24,6 +24,7 @@ import os
 import random
 import re
 import sys
+from bisect import bisect_left
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -517,7 +518,7 @@ def run_threshold(
     # c/d fails (1/0 is +infinity).  They start at floor(lo)/1 and 1/0, a
     # unimodular pair, so their mediants are the tree's points between them.
     # Each turn moves one end toward the other as far as it keeps its
-    # verdict, doubling the step and then halving back.  Before each turn
+    # verdict, doubling the step and then bisecting back.  Before each turn
     # of the failing end, if the holds bound has risen since the last such
     # probe, the top of its cell is probed: when the bound is the boundary,
     # that probe fails and ends the search, which would otherwise step
@@ -525,18 +526,19 @@ def run_threshold(
 
     # The largest k >= 0 whose point (n + k dn) / (m + k dm) answers want,
     # its denominator within the limit (toward 1/0, the point at most
-    # ceil(hi), past which every point fails).
+    # ceil(hi), past which every point fails).  The step doubles while its
+    # point answers want; then bisect_left finds the first miss among the
+    # steps strictly between the last good one and the first bad one (or
+    # the limit), and the step before it is the answer: it moves its low
+    # end only past a step that answered want, and its high end only onto
+    # one that missed.
     def run(n: int, m: int, dn: int, dm: int, want: bool) -> int:
         limit = (max_denominator - m) // dm if dm else ceil(hi) * m - n
-        test = lambda k: probe(Fraction(n + k * dn, m + k * dm)) == want
+        miss = lambda k: probe(Fraction(n + k * dn, m + k * dm)) != want
         good, bad = 0, 1
-        while bad <= limit and test(bad):
+        while bad <= limit and not miss(bad):
             good, bad = bad, 2 * bad
-        bad = min(bad, limit + 1)
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            good, bad = (mid, bad) if test(mid) else (good, mid)
-        return good
+        return good + bisect_left(range(good + 1, min(bad, limit + 1)), True, key=miss)
 
     ends, want, checked = {True: (floor(lo), 1), False: (1, 0)}, False, None
     while True:
@@ -550,17 +552,16 @@ def run_threshold(
         k = run(n, m, dn, dm, want)
         ends[want], want = (n + k * dn, m + k * dm), not want
 
-    # The bisection of cells k..j: a cell edge at or below known[0] holds,
-    # one at or above known[1] fails, and only those between are decided.
+    # Cell edge i is lo + i * cell: one at or below known[0] holds, one at or
+    # above known[1] fails, so bisect_left searches only the edges strictly
+    # between, first + 1 .. last - 1, for the first that fails (last if
+    # none does).  It raises its low end only past an edge it found to hold
+    # and lowers its high end only onto one it found to fail, so both edges
+    # of the final cell k were decided or settled by known, even where the
+    # holds-set inside the bracket is not an interval.
     first, last = floor((known[0] - lo) / cell), ceil((known[1] - lo) / cell)
-    k, j = 0, 1 << halvings
-    while j - k > 1:
-        mid = (k + j) // 2
-        if mid <= first or (mid < last and probe(lo + mid * cell)):
-            k = mid
-        else:
-            j = mid
-    lo, hi = lo + k * cell, lo + j * cell
+    k = first + bisect_left(range(first + 1, last), True, key=lambda i: not probe(lo + i * cell))
+    lo, hi = lo + k * cell, lo + (k + 1) * cell
     # A rational that fits is the midpoint's closest one within the limit.
     # The holds-set is closed, so a failing candidate is not the boundary,
     # and a candidate whose probe toward hi also holds lies below it.  An

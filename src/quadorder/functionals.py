@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -175,15 +176,15 @@ def as_fraction(value: Rational) -> Fraction:
     return Fraction(*_as_pair(value))
 
 
-def _lcm(denominators: Iterable[int]) -> int:
-    """lcm of the denominators, taken pairwise in a balanced tree: folding
-    them one at a time multiplies a growing lcm by each small one, and is
-    several times slower on thousands of them.  Two or fewer take one
-    lcm call."""
-    row = list(denominators)
+def _balanced(op: Callable, empty, items: Iterable):
+    """items folded by op pairwise in a balanced tree, or empty if none.
+    lcm's and _add_pairs' results grow with each distinct denominator, so a
+    one-at-a-time fold pairs a large total with each small item and is
+    several times slower on thousands of them.  Two take one op call."""
+    row = list(items)
     while len(row) > 2:
-        row = [*map(lcm, row[::2], row[1::2]), *row[len(row) & ~1 :]]
-    return lcm(*row)
+        row = [*map(op, row[::2], row[1::2]), *row[len(row) & ~1 :]]
+    return op(*row) if len(row) == 2 else row[0] if row else empty
 
 
 def _add_pairs(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -193,21 +194,10 @@ def _add_pairs(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return n1 * (d2 // common) + n2 * (d1 // common), d1 // common * d2
 
 
-def _sum_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of (numerator, denominator) pairs over exactly the lcm of
-    their denominators, added pairwise in a balanced tree as _lcm is.  The
-    partial sums form a binary counter, (count, sum) with counts falling,
-    so at most one per power of two is held at a time."""
-    partial: list[tuple[int, tuple[int, int]]] = []
-    for total in pairs:
-        count = 1
-        while partial and partial[-1][0] == count:
-            count, total = 2 * count, _add_pairs(partial.pop()[1], total)
-        partial.append((count, total))
-    total = partial.pop()[1] if partial else (0, 1)
-    while partial:
-        total = _add_pairs(partial.pop()[1], total)
-    return total
+# The lcm of the denominators, and the sum of (numerator, denominator) pairs
+# over exactly the lcm of their denominators, whatever the tree's shape.
+_lcm = partial(_balanced, lcm, 1)
+_sum_pairs = partial(_balanced, _add_pairs, (0, 1))
 
 
 # ---------------------------------------------------------------------------

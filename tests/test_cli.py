@@ -711,10 +711,14 @@ TWO_POINT = Family(
 )
 
 
-def test_threshold_matches_the_plain_bisection():
+def test_threshold_matches_the_plain_bisection(monkeypatch):
     # Wherever the holds-set inside the grid bracket is an interval, the
     # search answers what halving the whole bracket answers, byte for byte.
     # The last custom grid holds nowhere, so both raise the same error.
+    # run_threshold's own decides (not the reference's) are pinned, as the
+    # corpus's are, so a search that costs more beyond the corpus shows here.
+    calls = []
+    monkeypatch.setattr(cli, "decide", lambda a, b: calls.append(1) or decide(a, b))
     rng = random.Random(2323)
     specs = [*_seeded_sweeps(rng), *_seeded_sweeps(rng),
              _make_scan_spec(FAMILIES["endpoint4"], "a=1/100:3/100:1/100", ["alpha=4/5"]),
@@ -725,6 +729,7 @@ def test_threshold_matches_the_plain_bisection():
         for max_denominator in THRESHOLD_LIMITS:
             want = _outcome(reference_threshold, spec, max_denominator)
             assert _outcome(run_threshold, spec, max_denominator) == want, (spec, max_denominator)
+    assert len(calls) == 2607
 
 
 def test_threshold_decides_past_the_grid_only_cell_edges_and_rationals_within_the_limit(

@@ -142,9 +142,10 @@ def test_mass_error_names_the_exact_total():
 
 
 def test_sum_pairs_matches_the_fraction_sum():
-    # every length from 0 to 70, so each carry of the binary counter at
-    # 2^k - 1, 2^k and 2^k + 1 terms occurs, with distinct denominators
-    # and with denominators that repeat
+    # every length from 0 to 70, so the balanced fold meets an odd tail at
+    # each level of its tree (2^k - 1, 2^k and 2^k + 1 terms among them),
+    # with distinct denominators and with denominators that repeat; _lcm
+    # and _sum_pairs share that fold, and both read a one-shot iterator
     rng = random.Random("sum-pairs")
     for n in range(71):
         for dens in (rng.sample(range(1, 200), n), [rng.randint(1, 12) for _ in range(n)]):
@@ -153,6 +154,7 @@ def test_sum_pairs_matches_the_fraction_sum():
             assert F(num, den) == sum((F(*p) for p in pairs), start=F(0))
             # make_functional reads W off this denominator
             assert den == lcm(*dens)
+            assert _lcm(iter(dens)) == lcm(*dens)
 
 
 def test_domain_error():
