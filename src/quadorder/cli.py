@@ -29,6 +29,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from math import ceil, floor
 from typing import Optional, Sequence
 
@@ -196,12 +197,6 @@ class Param:
     closed: bool = False
     fail_toward: Optional[str] = None
 
-    def contains(self, v: Fraction) -> bool:
-        return self.lo <= v <= self.hi if self.closed else self.lo < v < self.hi
-
-    def describe(self) -> str:
-        return f"[{self.lo}, {self.hi}]" if self.closed else f"({self.lo}, {self.hi})"
-
 
 @dataclass(frozen=True)
 class Family:
@@ -279,18 +274,6 @@ FAMILIES: dict[str, Family] = {family.name: family for family in (
 )}
 
 
-def _validate_family_params(family: Family, params: dict[str, Fraction]) -> None:
-    for name, value in params.items():
-        param = family.params.get(name)
-        if param is None:
-            raise CLIError(f"family {family.name} has no parameter {name!r}")
-        if not param.contains(value):
-            raise CLIError(
-                f"{name} = {value} outside the valid range {param.describe()} "
-                f"for family {family.name}"
-            )
-
-
 # A sweep grid longer than this is bad input: each point costs a decide.
 MAX_GRID_POINTS = 10**5
 
@@ -352,9 +335,16 @@ def _make_scan_spec(
         # every parameter at the first grid point, then the swept one alone:
         # the first bad value raises, as it would point by point
         grid = spec.grid
-        _validate_family_params(family, spec.params_at(grid[0]))
-        for value in grid[1:]:
-            _validate_family_params(family, {name: value})
+        for key, value in chain(spec.params_at(grid[0]).items(), zip(repeat(name), grid[1:])):
+            param = family.params.get(key)
+            if param is None:
+                raise CLIError(f"family {family.name} has no parameter {key!r}")
+            lo, hi = param.lo, param.hi
+            if not (lo <= value <= hi if param.closed else lo < value < hi):
+                valid = f"[{lo}, {hi}]" if param.closed else f"({lo}, {hi})"
+                raise CLIError(
+                    f"{key} = {value} outside the valid range {valid} for family {family.name}"
+                )
     return spec
 
 

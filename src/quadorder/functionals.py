@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "FunctionalError",
@@ -369,38 +369,6 @@ def evaluate(func: Functional, s: Rational) -> Fraction:
 ScalarMap = Callable[[str, object], object]
 
 
-def _json_entries(obj: dict, key: str) -> list:
-    """The (t, w) values of every entry of obj["atoms"], or the (a, alpha)
-    values of every entry of obj["pairs"], as they stand; obj[key] must be
-    a list of objects carrying both fields."""
-    entries = obj[key]
-    if not isinstance(entries, list):
-        raise FunctionalError(f"'{key}' must be a list, got {type(entries).__name__}")
-    first, second = ("t", "w") if key == "atoms" else ("a", "alpha")
-    out = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            name = type(entry).__name__
-            raise FunctionalError(f"each '{key}' entry must be an object, got {name}")
-        if first not in entry or second not in entry:
-            missing = second if first in entry else first
-            article = "an" if key == "atoms" else "a"
-            raise FunctionalError(f"{article} '{key}' entry has no {missing!r} key")
-        out.append((entry[first], entry[second]))
-    return out
-
-
-def _mapped(entries: list, key: str, scalar: ScalarMap) -> Iterator[tuple[object, object]]:
-    """The entries read through scalar one at a time, as the building loop
-    pulls them, t or alpha first (a pairs entry is (a, alpha))."""
-    for x, y in entries:
-        if key == "atoms":
-            yield scalar("t", x), scalar("w", y)
-        else:
-            y = scalar("alpha", y)
-            yield scalar("a", x), y
-
-
 def functional_from_json(obj: object, scalar: Optional[ScalarMap] = None) -> Functional:
     """Parse {"atoms": [{"t","w"},...], "uniform"} or the paper-convention
     form {"pairs": [{"alpha","a"},...], "uniform"}.
@@ -420,11 +388,30 @@ def functional_from_json(obj: object, scalar: Optional[ScalarMap] = None) -> Fun
     key = "atoms" if "atoms" in obj else "pairs"
     if key not in obj:
         raise FunctionalError("functional JSON needs an 'atoms' or 'pairs' key")
-    entries = _json_entries(obj, key)
+    if not isinstance(obj[key], list):
+        raise FunctionalError(f"'{key}' must be a list, got {type(obj[key]).__name__}")
+    # the (t, w) or (a, alpha) values of every entry, as they stand
+    first, second = ("t", "w") if key == "atoms" else ("a", "alpha")
+    entries = []
+    for entry in obj[key]:
+        if not isinstance(entry, dict):
+            name = type(entry).__name__
+            raise FunctionalError(f"each '{key}' entry must be an object, got {name}")
+        if first not in entry or second not in entry:
+            missing = second if first in entry else first
+            article = "an" if key == "atoms" else "a"
+            raise FunctionalError(f"{article} '{key}' entry has no {missing!r} key")
+        entries.append((entry[first], entry[second]))
     uniform = obj.get("uniform", 0)
     if scalar is not None:
         uniform = scalar("uniform", uniform)
-        entries = _mapped(entries, key, scalar)
+        # read one entry at a time, as the building loop pulls them, t or
+        # alpha first
+        if key == "atoms":
+            entries = ((scalar("t", t), scalar("w", w)) for t, w in entries)
+        else:
+            alphas = ((a, scalar("alpha", alpha)) for a, alpha in entries)
+            entries = ((scalar("a", a), alpha) for a, alpha in alphas)
     return (make_functional if key == "atoms" else from_paper_convention)(entries, uniform)
 
 

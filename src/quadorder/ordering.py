@@ -532,8 +532,8 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
     A hinge witness must name a hinge and reproduce its gap exactly, and
     one whose fields are not rationals is rejected; a linear witness
     must separate the barycenters, read through the hinge h_0(t) = t, in
-    the claimed direction.  Verdicts without a witness verify iff they
-    are not Fails.
+    the claimed direction, the int +1 or -1.  Verdicts without a witness
+    verify iff they are not Fails.
     """
     if verdict.outcome != FAILS:
         return verdict.witness is None
@@ -545,7 +545,9 @@ def verify_witness(a: Functional, b: Functional, verdict: Verdict) -> bool:
         except FunctionalError:
             return False
     if isinstance(w, LinearWitness):
-        return w.direction in (-1, 1) and w.direction * (evaluate(a, 0) - evaluate(b, 0)) > 0
+        # only the int +1 or -1 is a direction: True and 1.0 are not
+        direction = w.direction if type(w.direction) is int else 0
+        return direction in (-1, 1) and direction * (evaluate(a, 0) - evaluate(b, 0)) > 0
     return False
 
 

@@ -4,9 +4,11 @@ bench/tracer.py wraps, by name, the functions each quadorder module
 defines and lists in its __all__, plus DiffFunction.max_g; its summary
 looks up cli.run_threshold and ordering.decide, and its size counters
 read attributes of what difference, decide, make_functional and
-refine_grid take or return.  bench/workloads.py calls cli.main,
-cli.run_agreement, cli._SAMPLERS and cli.THEOREM_IDS, and reads fields of
-the agreement summary.  The benchmark is not part of this suite, so a
+refine_grid take or return; they see JSON input through the one call of
+make_functional or from_paper_convention that functional_from_json
+makes.  bench/workloads.py calls cli.main, cli.run_agreement,
+cli._SAMPLERS and cli.THEOREM_IDS, and reads fields of the agreement
+summary.  The benchmark is not part of this suite, so a
 rename here is the first place such a break shows.
 """
 
@@ -16,8 +18,10 @@ import inspect
 import json
 from pathlib import Path
 
+import pytest
+
 import quadorder
-from quadorder import cli, difference, make_functional, refine_grid
+from quadorder import cli, difference, functionals, make_functional, refine_grid
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -67,3 +71,28 @@ def test_the_attributes_the_benchmark_reads_exist():
     assert len(refine_grid(a, b)) >= 2
     s = cli.run_agreement("two-vs-three", 2, 0)
     assert (s.samples, s.holds_count + s.fails_count, len(s.disagreements)) == (2, 2, 0)
+
+
+@pytest.mark.parametrize("scalar", [None, lambda _, v: v])
+def test_json_input_reaches_the_traced_builders_once(monkeypatch, scalar):
+    # the tracer wraps functionals.make_functional by name, and its size
+    # counters read the atoms that call returns
+    calls = []
+
+    def counted(name):
+        builder = getattr(functionals, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return builder(*args)
+
+        return wrapper
+
+    for name in ("make_functional", "from_paper_convention"):
+        monkeypatch.setattr(functionals, name, counted(name))
+    atoms = {"atoms": [{"t": "1/2", "w": 1}]}
+    pairs = {"pairs": [{"a": "1/2", "alpha": 0}, {"a": "1/2", "alpha": 1}]}
+    for obj, name in ((atoms, "make_functional"), (pairs, "from_paper_convention")):
+        calls.clear()
+        functionals.functional_from_json(obj, scalar)
+        assert calls == [name]

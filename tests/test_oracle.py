@@ -174,21 +174,17 @@ def test_integer_oracle_matches_the_fraction_reference(family):
         assert got.tested_functions == want.tested_functions
 
 
-def _report(report) -> tuple:
-    return report.tested_functions, report.max_violation, report.worst_s
-
-
-@pytest.mark.parametrize(
-    "family", ["random", "equal-mean", "uniform-only", "endpoint-atoms", *sorted(_SAMPLERS)]
-)
-def test_one_pass_oracle_matches_the_explicit_grid_and_the_reference(family):
-    # the oracle decides on refine_grid's points, built as ints; the report
-    # is the one the Fraction reference gives on that explicit grid
-    rng = random.Random(f"one-pass-{family}")
+@pytest.mark.parametrize("family", sorted(PAIR_COUNTS))
+def test_oracle_agrees_with_the_decider_on_every_family(family):
+    # the oracle is clean exactly when the decider holds, and a hinge
+    # witness is the global maximizer: the oracle finds its gap at its s
+    rng = random.Random(f"decider-{family}")
     for a, b in pair_family(rng, family, 150):
-        want = _report(reference_oracle_decide(a, b, reference_refine_grid(a, b)))
-        assert _report(oracle_decide(a, b)) == want
-        assert _report(reference_oracle_decide(a, b, refine_grid(a, b))) == want
+        verdict, report = decide(a, b), oracle_decide(a, b)
+        assert (report.max_violation == 0) == verdict.holds
+        if isinstance(verdict.witness, HingeWitness):
+            witness = verdict.witness
+            assert (report.max_violation, report.worst_s) == (witness.gap, witness.s)
 
 
 def test_one_pass_oracle_builds_each_table_once_and_no_fraction_grid(monkeypatch):

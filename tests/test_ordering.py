@@ -258,6 +258,10 @@ def test_verify_witness_rejects_forged_witnesses():
         assert verify_witness(a, b, Verdict(FAILS, LinearWitness(direction)))
         assert not verify_witness(a, b, Verdict(FAILS, LinearWitness(-direction)))
         assert not verify_witness(a, b, Verdict(FAILS, LinearWitness(2 * direction)))
+    # A direction is the int +1 or -1: a bool or a float is not, as for
+    # the hinge fields below.
+    for forged in (True, 1.0, -1.0):
+        assert not verify_witness(UNIFORM, heavy_left, Verdict(FAILS, LinearWitness(forged)))
     # A hinge witness must reproduce its gap exactly.
     assert decide(TRAPEZOID, MIDPOINT).witness == HingeWitness(F(1, 2), F(1, 4))
     assert verify_witness(TRAPEZOID, MIDPOINT, Verdict(FAILS, HingeWitness(F(1, 2), F(1, 4))))
