@@ -15,8 +15,8 @@ scaled to one common denominator T, weights to one W, and the atoms of
 both sides become one signed suffix table of mass and first moment, A's
 weights counted up and B's down.  oracle_decide(a, b) builds the table
 once and scores each point of the refined grid, every one over the same
-denominator S; a gap is a numerator over 2 W T S^2, and only the answer
-is a Fraction.  evaluate(func, s) scores any other hinge.
+denominator S; a gap is a numerator over 2 W T S^2, and only a nonzero
+answer is a Fraction.  evaluate(func, s) scores any other hinge.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .functionals import Functional
+from .functionals import Functional, ZERO
 
 __all__ = ["OracleReport", "oracle_decide", "refine_grid"]
 
@@ -125,7 +125,7 @@ def oracle_decide(a: Functional, b: Functional) -> OracleReport:
     mean_gap = abs(2 * moment[0] + du * t_scale) * s_scale**2
     if mean_gap > best:
         best, worst = mean_gap, None
-    max_violation = Fraction(best, 2 * w_scale * t_scale * s_scale**2)
+    max_violation = Fraction(best, 2 * w_scale * t_scale * s_scale**2) if best else ZERO
     worst_s = None if worst is None else Fraction(worst, s_scale)
     return OracleReport(len(grid) + 2, max_violation, worst_s)
 

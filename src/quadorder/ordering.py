@@ -114,9 +114,9 @@ class DiffFunction:
     first tries _linear_direction, a floor sum on small ints that settles
     most unequal barycenters (every |G(1)| >= 2^-64) with no walk at all.
     Below the cut neither pays: the walks divide W as they go, and the
-    short walk costs little more than the sum would.  Fractions are built
-    only for what is returned; breakpoints and cumulative (G(b_i) at
-    every breakpoint) when read.
+    short walk costs little more than the sum would.  decide reads signs
+    of _peak's ints, so Fractions are built only for what is returned: a
+    hinge witness, g_end, max_g; breakpoints and cumulative when read.
     """
 
     t_scale: int
@@ -474,16 +474,17 @@ def _cumulative_verdict(d: DiffFunction) -> Verdict:
     direction = d._linear_direction() if d.short_points is None else 0
     if direction:
         return Verdict(FAILS, LinearWitness(direction))
-    # one walk yields G(1) and max G; max G's Fractions are formed only
-    # once G(1) = 0
-    g_end = d.g_end()
-    if g_end != 0:
+    # one walk yields G(1) = g_end and max G = best / best_den, both over
+    # _g_scale() > 0; best_den is 1 or a vertex's -slope_w > 0 (D falls
+    # from > 0 to < 0 there), so the ints' signs decide, and Fractions are
+    # formed only for a hinge witness
+    g_end, best, _, _ = d._peak
+    if g_end:
         # G(1) = barycenter(b) - barycenter(a)
         return Verdict(FAILS, LinearWitness(1 if g_end < 0 else -1))
-    s_star, g_max = d.max_g()
-    if g_max <= 0:
+    if best <= 0:
         return Verdict(HOLDS)
-    return Verdict(FAILS, HingeWitness(s_star, g_max))
+    return Verdict(FAILS, HingeWitness(*d.max_g()))
 
 
 def _lemma_verdict(profile: CrossingProfile) -> Verdict:
@@ -520,7 +521,7 @@ def decide_lemma(a: Functional, b: Functional) -> Verdict:
     """
     d = difference(a, b)
     # a zero D has G(1) = 0, and crossing_profile refuses it
-    if d.g_end() != 0:
+    if d._peak[0]:
         raise MeansDiffer(f"barycenters differ: G(1) = {d.g_end()} != 0")
     return _lemma_verdict(crossing_profile(d))
 

@@ -1,27 +1,41 @@
 """The names the benchmark harness traces and calls.
 
 bench/tracer.py wraps, by name, the functions each quadorder module
-defines and lists in its __all__, plus DiffFunction.max_g; its summary
-looks up cli.run_threshold and ordering.decide, and its size counters
-read attributes of what difference, decide, make_functional and
-refine_grid take or return; they see JSON input through the one call of
+defines and lists in its __all__, plus DiffFunction.max_g.  decide calls
+max_g only to build a hinge witness, so the tracer's ordering.max_g.*
+metrics time only that building; every other verdict is read from the
+signs of the walk's ints.  The tracer's summary looks up
+cli.run_threshold and ordering.decide, and its size counters read
+attributes of what difference, decide, make_functional and refine_grid
+take or return; they see JSON input through the one call of
 make_functional or from_paper_convention that functional_from_json
 makes.  bench/workloads.py calls cli.main, cli.run_agreement,
 cli._SAMPLERS and cli.THEOREM_IDS, and reads fields of the agreement
-summary.  The benchmark is not part of this suite, so a
-rename here is the first place such a break shows.
+summary.  The benchmark is not part of this suite, so a rename here is
+the first place such a break shows.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import quadorder
-from quadorder import cli, difference, functionals, make_functional, refine_grid
+from quadorder import (
+    HingeWitness,
+    cli,
+    decide,
+    difference,
+    functionals,
+    make_functional,
+    ordering,
+    refine_grid,
+)
+from helpers import pair_family
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -96,3 +110,25 @@ def test_json_input_reaches_the_traced_builders_once(monkeypatch, scalar):
         calls.clear()
         functionals.functional_from_json(obj, scalar)
         assert calls == [name]
+
+
+def test_decide_calls_max_g_only_for_a_hinge_witness(monkeypatch):
+    # the tracer's ordering.max_g.* count and time these calls
+    calls = []
+    max_g = ordering.DiffFunction.max_g
+
+    def counted(self):
+        calls.append(self)
+        return max_g(self)
+
+    monkeypatch.setattr(ordering.DiffFunction, "max_g", counted)
+    rng = random.Random(33)
+    pairs = pair_family(rng, "random", 20) + pair_family(rng, "equal-mean", 40)
+    pairs += pair_family(rng, "equal", 5)
+    hinges = 0
+    for a, b in pairs:
+        calls.clear()
+        hinge = isinstance(decide(a, b).witness, HingeWitness)
+        hinges += hinge
+        assert len(calls) == hinge
+    assert 0 < hinges < len(pairs)

@@ -207,6 +207,7 @@ def test_one_pass_oracle_builds_each_table_once_and_no_fraction_grid(monkeypatch
         tables.clear()
         fractions.clear()
         report = oracle_decide(a, b)
-        # one table of both sides, and Fractions for max_violation and worst_s only
+        # one table of both sides, and Fractions only for a nonzero
+        # max_violation and for worst_s: a clean report forms none
         assert tables == [(a, b)]
-        assert len(fractions) == (1 if report.worst_s is None else 2)
+        assert len(fractions) == (report.max_violation != 0) + (report.worst_s is not None)

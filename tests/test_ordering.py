@@ -456,6 +456,40 @@ def test_max_g_breaks_a_vertex_breakpoint_tie_toward_the_smaller_s():
         assert decide(a, b, diagnose=True) == reference_decide(a, b, diagnose=True)
 
 
+def test_decide_forms_fractions_only_for_a_hinge_witness(monkeypatch):
+    # The verdict reads the signs of G(1) and max G from the walk's ints:
+    # max G's denominator best_den is 1 or a vertex's -slope_w, positive
+    # because D falls through 0 there, so best <= 0 means max G <= 0.
+    # Only a hinge witness's s* and G(s*) become Fractions.
+    fractions = []
+    fraction = ordering.Fraction
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return fraction(*args)
+
+    counts = dict.fromkeys(["random", "equal-mean", "uniform-only", "equal", *_SAMPLERS], 40)
+    counts["coprime-spread-60"] = 4
+    pairs = [(TIE_A, TIE_B), (_reflected(TIE_A), _reflected(TIE_B))]
+    for family, count in counts.items():
+        pairs += pair_family(random.Random(f"fractions-{family}"), family, count)
+    monkeypatch.setattr(ordering, "Fraction", counted_fraction)
+    dens, kinds = set(), set()
+    for a, b in pairs:
+        d = difference(a, b)
+        assert d._peak[2] > 0
+        dens.add(d._peak[2] == 1)
+        fractions.clear()
+        verdict = decide(a, b)
+        assert verdict == reference_decide(a, b)
+        hinge = isinstance(verdict.witness, HingeWitness)
+        assert len(fractions) == (2 if hinge else 0)
+        kinds.add(type(verdict.witness).__name__ if verdict.witness else verdict.outcome)
+    # every verdict kind, and maxima both at a breakpoint and at a vertex
+    assert kinds == {HOLDS, EQUAL, "LinearWitness", "HingeWitness"}
+    assert dens == {True, False}
+
+
 def _peak_matches_the_reference(a, b):
     d, ref = difference(a, b), reference_difference(a, b)
     assert (d.max_g(), d.g_end()) == (ref.max_g(), ref.g_end())
